@@ -1,0 +1,257 @@
+"""Finite-dimensional two-mode bosonic Fock states and the ladder-operator moment oracle.
+
+Two state containers are provided:
+
+- ``TwoModeState``: a complex amplitude grid ``amps[n1, n2]`` on a truncated
+  two-mode Fock lattice.
+- ``FixedTotalState``: an amplitude vector over the fixed-total-photon basis
+  ``|n>|M-n>``; it embeds losslessly into a ``TwoModeState``.
+
+``moment_oracle`` evaluates an arbitrary normally ordered moment
+``<a1^dag^j a1^k a2^dag^r a2^s>`` by splitting the operator string at the
+dagger boundary and taking the inner product of two annihilation-only images
+of the state.  No creation operators are ever applied, so the result is exact
+up to floating-point rounding for any finite state; no dense operator
+matrices are built.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = [
+    "CutoffOverflow",
+    "FixedTotalState",
+    "MomentSpec",
+    "TwoModeState",
+    "apply_ladder",
+    "inner_product",
+    "log_factorial",
+    "moment_oracle",
+]
+
+NORMALIZATION_TOL = 1e-10
+
+
+class CutoffOverflow(Exception):
+    """Creation would push nonzero amplitude past a fixed cutoff."""
+
+
+def log_factorial(n: int) -> float:
+    """Return ln(n!) for a non-negative integer n.
+
+    Exact 0.0 for n in {0, 1}; relative error at the lgamma level
+    (well below 1e-12) for n up to several hundred.
+    """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    return math.lgamma(n + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class TwoModeState:
+    """Amplitude grid ``amps[n1, n2]`` with 0 <= n_i <= cutoff_i.
+
+    The raw constructor only checks finiteness; use :meth:`normalized` (or a
+    state constructor from :mod:`twomode.states`) for unit-norm states.
+    Ladder operations intentionally produce unnormalized grids.
+    """
+
+    amps: np.ndarray
+
+    def __post_init__(self):
+        amps = np.asarray(self.amps, dtype=complex)
+        if amps.ndim != 2:
+            raise ValueError(f"amplitude grid must be 2-d, got shape {amps.shape}")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitude grid contains non-finite entries")
+        amps = amps.copy()
+        amps.flags.writeable = False
+        object.__setattr__(self, "amps", amps)
+
+    @classmethod
+    def normalized(cls, amps: np.ndarray) -> "TwoModeState":
+        """Construct a state normalized to unit norm."""
+        amps = np.asarray(amps, dtype=complex)
+        nrm = np.linalg.norm(amps)
+        if nrm == 0.0:
+            raise ValueError("cannot normalize the zero grid")
+        return cls(amps / nrm)
+
+    @property
+    def cutoffs(self) -> tuple[int, int]:
+        return self.amps.shape[0] - 1, self.amps.shape[1] - 1
+
+    @property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amps))
+
+    def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
+        return abs(self.norm - 1.0) <= tol
+
+
+@dataclass(frozen=True, eq=False)
+class FixedTotalState:
+    """State ``sum_n c[n] |n>|M-n>`` with M total photons shared by two modes.
+
+    Parameters
+    ----------
+    total : int
+        Total photon number M (>= 0).
+    amplitudes : array_like
+        Length M+1 vector; entry n weights the basis ket ``|n>|M-n>``.
+        Must be normalized to within ``NORMALIZATION_TOL``.
+    """
+
+    total: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        if self.total < 0:
+            raise ValueError("total photon number must be non-negative")
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.shape != (self.total + 1,):
+            raise ValueError(
+                f"expected {self.total + 1} amplitudes, got shape {amps.shape}"
+            )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes contain non-finite entries")
+        nrm = np.linalg.norm(amps)
+        if abs(nrm - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(f"state not normalized: |c| = {nrm!r}")
+        amps = amps.copy()
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
+
+    def to_two_mode(self) -> TwoModeState:
+        """Embed into a TwoModeState grid with entry (n, M-n) = c[n]."""
+        m = self.total
+        grid = np.zeros((m + 1, m + 1), dtype=complex)
+        grid[np.arange(m + 1), m - np.arange(m + 1)] = self.amplitudes
+        return TwoModeState(grid)
+
+
+@dataclass(frozen=True)
+class MomentSpec:
+    """Exponent quadruple (j, k, r, s) for ``<a1^dag^j a1^k a2^dag^r a2^s>``."""
+
+    j: int
+    k: int
+    r: int
+    s: int
+
+    def __post_init__(self):
+        if min(self.j, self.k, self.r, self.s) < 0:
+            raise ValueError(f"exponents must be non-negative: {self}")
+
+    @property
+    def imbalance(self) -> int:
+        """Net total-photon change (j - k) + (r - s); 0 for number-conserving."""
+        return (self.j - self.k) + (self.r - self.s)
+
+    @property
+    def conserving(self) -> bool:
+        return self.imbalance == 0
+
+    def adjoint(self) -> "MomentSpec":
+        """Spec of the Hermitian-conjugate operator string."""
+        return MomentSpec(self.k, self.j, self.s, self.r)
+
+
+def _as_grid(state) -> TwoModeState:
+    if isinstance(state, FixedTotalState):
+        return state.to_two_mode()
+    return state
+
+
+def apply_ladder(
+    state: TwoModeState,
+    mode: int,
+    kind: str,
+    extend: bool = True,
+) -> TwoModeState:
+    """Apply a single creation or annihilation operator to one mode.
+
+    Standard actions ``a|n> = sqrt(n)|n-1>`` and ``a^dag|n> = sqrt(n+1)|n+1>``
+    applied entrywise to the grid.  The result is unnormalized.
+
+    Parameters
+    ----------
+    mode : int
+        1 or 2.
+    kind : str
+        ``"create"`` or ``"annihilate"``.
+    extend : bool
+        With ``create``, grow the grid by one row/column (default).  When
+        False the cutoff is fixed and nonzero amplitude at the boundary
+        raises :class:`CutoffOverflow`.
+    """
+    if mode not in (1, 2):
+        raise ValueError(f"mode must be 1 or 2, got {mode!r}")
+    if kind not in ("create", "annihilate"):
+        raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
+    grid = _as_grid(state).amps
+    axis = mode - 1
+    if axis == 1:
+        grid = grid.T
+    n_max = grid.shape[0] - 1
+
+    if kind == "annihilate":
+        out = np.zeros_like(grid)
+        if n_max >= 1:
+            weights = np.sqrt(np.arange(1, n_max + 1, dtype=float))
+            out[:-1, :] = grid[1:, :] * weights[:, None]
+    else:
+        if extend:
+            out = np.zeros((n_max + 2, grid.shape[1]), dtype=complex)
+            weights = np.sqrt(np.arange(1, n_max + 2, dtype=float))
+            out[1:, :] = grid * weights[:, None]
+        else:
+            if np.any(grid[-1, :] != 0):
+                raise CutoffOverflow(
+                    f"creation on mode {mode} exceeds fixed cutoff {n_max}"
+                )
+            out = np.zeros_like(grid)
+            weights = np.sqrt(np.arange(1, n_max + 1, dtype=float))
+            out[1:, :] = grid[:-1, :] * weights[:, None]
+
+    if axis == 1:
+        out = out.T
+    return TwoModeState(out)
+
+
+def inner_product(bra, ket) -> complex:
+    """Return ``<bra|ket>`` with grids zero-padded to common cutoffs."""
+    a = _as_grid(bra).amps
+    b = _as_grid(ket).amps
+    rows = max(a.shape[0], b.shape[0])
+    cols = max(a.shape[1], b.shape[1])
+    if a.shape != (rows, cols):
+        a = np.pad(a, ((0, rows - a.shape[0]), (0, cols - a.shape[1])))
+    if b.shape != (rows, cols):
+        b = np.pad(b, ((0, rows - b.shape[0]), (0, cols - b.shape[1])))
+    return complex(np.vdot(a, b))
+
+
+def moment_oracle(state, spec: MomentSpec) -> complex:
+    """Evaluate ``<a1^dag^j a1^k a2^dag^r a2^s>`` by direct operator application.
+
+    The normally ordered string is split at the dagger boundary:
+    the daggered factors act leftward on the bra, so the value is
+    ``<a1^j a2^r psi | a1^k a2^s psi>``.  Only annihilation operators are
+    applied, hence no cutoff growth and no truncation error for finite
+    states.
+    """
+    psi = _as_grid(state)
+    bra = psi
+    for _ in range(spec.j):
+        bra = apply_ladder(bra, 1, "annihilate")
+    for _ in range(spec.r):
+        bra = apply_ladder(bra, 2, "annihilate")
+    ket = psi
+    for _ in range(spec.k):
+        ket = apply_ladder(ket, 1, "annihilate")
+    for _ in range(spec.s):
+        ket = apply_ladder(ket, 2, "annihilate")
+    return inner_product(bra, ket)
