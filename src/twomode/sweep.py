@@ -553,33 +553,36 @@ def table1_report(
     """
     start, end, steps = p_grid
     p_values = np.linspace(start, end, steps)
-    results = []
-    for label, witnesses, note in _TABLE_ROWS:
-        present = False
-        minimum = math.inf
-        for total in m_values:
-            for q in q_values:
-                for p in p_values:
-                    params = NGBSParams(int(total), float(p), float(q))
-                    if not params.is_valid():
-                        continue
-                    state = ngbs(params)
+    present = [False] * len(_TABLE_ROWS)
+    minimum = [math.inf] * len(_TABLE_ROWS)
+    # one state serves every row; each row's values reach min() in
+    # (M, q, p, witness) order, which decides between 0.0 and -0.0
+    for total in m_values:
+        for q in q_values:
+            for p in p_values:
+                params = NGBSParams(int(total), float(p), float(q))
+                if not params.is_valid():
+                    continue
+                state = ngbs(params)
+                for index, (_, witnesses, _) in enumerate(_TABLE_ROWS):
                     for witness in witnesses:
                         res = evaluate(state, witness, engine)
                         if res.status != "ok":
                             continue
-                        minimum = min(minimum, res.value)
+                        minimum[index] = min(minimum[index], res.value)
                         if res.nonclassical:
-                            present = True
-        results.append(Table1Row(
+                            present[index] = True
+    return [
+        Table1Row(
             label=label,
             witnesses=witnesses,
-            present=present,
-            minimum=minimum,
+            present=present[index],
+            minimum=minimum[index],
             note=note,
             caveat=_TABLE_CAVEATS.get(label, ""),
-        ))
-    return results
+        )
+        for index, (label, witnesses, note) in enumerate(_TABLE_ROWS)
+    ]
 
 
 def format_table1(rows) -> str:

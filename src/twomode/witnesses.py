@@ -125,7 +125,6 @@ class WitnessResult:
     engine: Engine
     status: str = "ok"
     scale: float = 1.0
-    state_params: object = None
 
 
 def _resolve_engine(state, engine: Engine | None) -> Engine:
@@ -138,13 +137,6 @@ def _resolve_engine(state, engine: Engine | None) -> Engine:
 
 def _flag(value: float, scale: float) -> bool:
     return value < -STRICT_ZERO * max(1.0, scale)
-
-
-def _describe(state) -> str:
-    if isinstance(state, FixedTotalState):
-        return f"fixed_total(M={state.total})"
-    n1, n2 = state.cutoffs
-    return f"two_mode(cutoffs=({n1},{n2}))"
 
 
 class _Moments:
@@ -161,7 +153,7 @@ class _Moments:
         return self(1, 1, 0, 0).real, self(0, 0, 1, 1).real
 
 
-def _result(state, witness, value, scale, engine, status="ok") -> WitnessResult:
+def _result(witness, value, scale, engine, status="ok") -> WitnessResult:
     value = float(value)
     scale = float(scale)
     return WitnessResult(
@@ -171,12 +163,11 @@ def _result(state, witness, value, scale, engine, status="ok") -> WitnessResult:
         engine=engine,
         status=status,
         scale=scale,
-        state_params=_describe(state),
     )
 
 
-def _degenerate(state, witness, engine) -> WitnessResult:
-    return _result(state, witness, float("nan"), 1.0, engine, status="degenerate")
+def _degenerate(witness, engine) -> WitnessResult:
+    return _result(witness, float("nan"), 1.0, engine, status="degenerate")
 
 
 def hoa(state, l: int, m: int, engine: Engine | None = None) -> WitnessResult:
@@ -194,10 +185,10 @@ def hoa(state, l: int, m: int, engine: Engine | None = None) -> WitnessResult:
     num = mom(l + 1, l + 1, m - 1, m - 1).real + mom(m - 1, m - 1, l + 1, l + 1).real
     den = mom(l, l, m, m).real + mom(m, m, l, l).real
     if den <= DEGENERATE_DENOMINATOR:
-        return _degenerate(state, witness, engine)
+        return _degenerate(witness, engine)
     value = num / den - 1.0
     scale = abs(num / den) + 1.0
-    return _result(state, witness, value, scale, engine)
+    return _result(witness, value, scale, engine)
 
 
 def quad_squeeze(state, engine: Engine | None = None) -> tuple[WitnessResult, WitnessResult]:
@@ -223,12 +214,12 @@ def quad_squeeze(state, engine: Engine | None = None) -> tuple[WitnessResult, Wi
     tx = (a1sq + a2sq + 2.0 * (cross_mixed + cross_lower)).real
     mx = 2.0 * ((a1 + a2).real ** 2)
     sx = tx + anti - mx - 2.0
-    res_x = _result(state, Witness("quadx"), sx, abs(tx) + anti + mx + 2.0, engine)
+    res_x = _result(Witness("quadx"), sx, abs(tx) + anti + mx + 2.0, engine)
 
     ty = -(a1sq + a2sq - 2.0 * (cross_mixed - cross_lower)).real
     my = 2.0 * ((a1 + a2).imag ** 2)
     sy = ty + anti - my - 2.0
-    res_y = _result(state, Witness("quady"), sy, abs(ty) + anti + my + 2.0, engine)
+    res_y = _result(Witness("quady"), sy, abs(ty) + anti + my + 2.0, engine)
     return res_x, res_y
 
 
@@ -249,7 +240,7 @@ def sum_squeeze(state, theta: float, engine: Engine | None = None) -> WitnessRes
     pair = mom(0, 1, 0, 1)                            # <a1 a2>
     den = n1 + n2 + 1.0
     if den <= DEGENERATE_DENOMINATOR:
-        return _degenerate(state, witness, engine)
+        return _degenerate(witness, engine)
     phase2 = complex(math.cos(2 * theta), -math.sin(2 * theta))
     phase1 = complex(math.cos(theta), -math.sin(theta))
     t_anti = 2.0 * anti_pair
@@ -257,7 +248,7 @@ def sum_squeeze(state, theta: float, engine: Engine | None = None) -> WitnessRes
     t_mean = 4.0 * ((phase1 * pair).real ** 2)
     value = (t_anti + t_sq - t_mean) / den - 2.0
     scale = (abs(t_anti) + abs(t_sq) + t_mean) / den + 2.0
-    return _result(state, witness, value, scale, engine)
+    return _result(witness, value, scale, engine)
 
 
 def sv(state, engine: Engine | None = None) -> WitnessResult:
@@ -273,7 +264,7 @@ def sv(state, engine: Engine | None = None) -> WitnessResult:
     t_cross = (raise_pair * lower_pair).real
     value = t_diag - t_cross
     scale = abs(t_diag) + abs(t_cross)
-    return _result(state, Witness("sv"), value, scale, engine)
+    return _result(Witness("sv"), value, scale, engine)
 
 
 def epr(state, form: str = "literal", engine: Engine | None = None) -> WitnessResult:
@@ -313,7 +304,7 @@ def epr(state, form: str = "literal", engine: Engine | None = None) -> WitnessRe
         s2 = abs(t2) + n1 + n2 + 2.0 + 2.0 * im_diff + 1.0
     value = i1 * i2 - 1.0
     scale = s1 * s2 + 1.0
-    return _result(state, witness, value, scale, engine)
+    return _result(witness, value, scale, engine)
 
 
 def su11(state, engine: Engine | None = None) -> WitnessResult:
@@ -342,7 +333,7 @@ def su11(state, engine: Engine | None = None) -> WitnessResult:
     value = bracket_plus * bracket_minus - imbalance_sq
     s_base = 2.0 * abs(anti_pair) + n1 + n2 + 2.0 + abs(twist)
     scale = (s_base + 4.0 * swap.real ** 2) * (s_base + 4.0 * swap.imag ** 2) + imbalance_sq
-    return _result(state, Witness("su11"), value, scale, engine)
+    return _result(Witness("su11"), value, scale, engine)
 
 
 def cauchy_schwarz(state, engine: Engine | None = None) -> WitnessResult:
@@ -367,7 +358,7 @@ def cauchy_schwarz(state, engine: Engine | None = None) -> WitnessResult:
     geo = math.sqrt(auto1 * auto2)
     value = geo - cross
     scale = geo + cross
-    return _result(state, Witness("cs"), value, scale, engine)
+    return _result(Witness("cs"), value, scale, engine)
 
 
 def evaluate(state, witness: Witness, engine: Engine | None = None) -> WitnessResult:

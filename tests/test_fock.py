@@ -115,6 +115,39 @@ def test_oracle_identity_spec_is_norm():
     assert moment_oracle(fock_pair(3, 2), MomentSpec(0, 0, 0, 0)) == pytest.approx(1.0)
 
 
+def _ladder_chain_oracle(state, spec):
+    """The oracle as ladder images: bra a1^j then a2^r, ket a1^k then a2^s."""
+    bra = ket = state
+    for _ in range(spec.j):
+        bra = apply_ladder(bra, 1, "annihilate")
+    for _ in range(spec.r):
+        bra = apply_ladder(bra, 2, "annihilate")
+    for _ in range(spec.k):
+        ket = apply_ladder(ket, 1, "annihilate")
+    for _ in range(spec.s):
+        ket = apply_ladder(ket, 2, "annihilate")
+    return inner_product(bra, ket)
+
+
+@pytest.mark.parametrize("kind", ["grid", "fixed_total"])
+@given(
+    st.integers(0, 20),
+    st.integers(0, 20),
+    st.tuples(*[st.integers(0, 6)] * 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_oracle_equals_ladder_chain_exactly(kind, n1, n2, exponents, seed):
+    # exact equality: the engine discrepancy report holds rounding residue
+    # that must come out the same bit for bit
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        state = random_grid_state(rng, n1, n2)
+    else:
+        state = random_fixed_total(rng, n1)
+    spec = MomentSpec(*exponents)
+    assert moment_oracle(state, spec) == _ladder_chain_oracle(state, spec)
+
+
 def test_selection_rule_randomized(rng):
     # number-changing moments vanish identically on fixed-total states
     for _ in range(200):

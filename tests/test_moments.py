@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -17,7 +19,9 @@ from twomode import (
     moment_oracle,
     ngbs,
 )
+from twomode.fock import log_factorial
 from twomode.moments import mode1_sum_empty, mode2_sum_empty
+from twomode.sweep import STANDARD_Q
 
 from conftest import random_fixed_total
 
@@ -133,6 +137,82 @@ def test_cross_moment_matches_oracle_on_ngbs(rng):
         closed = cross_moment(state, spec)
         oracle = moment_oracle(state, spec)
         assert abs(closed - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+def _half_log_ratio(a, b, c):
+    return 0.5 * (log_factorial(a) + log_factorial(b) - 2.0 * log_factorial(c))
+
+
+def _mode1_loop(state, k, l):
+    c, m = state.amplitudes, state.total
+    hi = m if l >= k else m - (k - l)
+    total = 0.0 + 0.0j
+    for n in range(l, hi + 1):
+        partner = n - l + k
+        if partner < 0 or partner > m:
+            continue
+        weight = math.exp(_half_log_ratio(n, partner, n - l))
+        total += c[n].conjugate() * c[partner] * weight
+    return total
+
+
+def _mode2_loop(state, k, l):
+    c, m = state.amplitudes, state.total
+    lo = 0 if l >= k else k - l
+    total = 0.0 + 0.0j
+    for n in range(lo, m - l + 1):
+        partner = n + l - k
+        if partner < 0 or partner > m:
+            continue
+        weight = math.exp(_half_log_ratio(m - n, m - n - l + k, m - n - l))
+        total += c[n].conjugate() * c[partner] * weight
+    return total
+
+
+def _cross_loop(state, spec):
+    c, m = state.amplitudes, state.total
+    j, k, r, s = spec.j, spec.k, spec.r, spec.s
+    total = 0.0 + 0.0j
+    for n in range(m + 1):
+        left = n - (k - j)
+        if left < 0 or left > m or n - k < 0 or left - j < 0:
+            continue
+        if m - n - s < 0 or m - left - r < 0:
+            continue
+        log_w = 0.5 * (
+            log_factorial(n) - log_factorial(n - k)
+            + log_factorial(left) - log_factorial(left - j)
+            + log_factorial(m - n) - log_factorial(m - n - s)
+            + log_factorial(m - left) - log_factorial(m - left - r)
+        )
+        total += c[left].conjugate() * c[n] * math.exp(log_w)
+    return total
+
+
+def test_literal_series_equal_scalar_loops_on_ngbs():
+    # exact equality with the term-by-term loops: the figures' discrepancy
+    # report holds rounding residue that must come out the same bit for bit
+    orders = range(11)
+    cross_specs = [
+        MomentSpec(j, k, r, s)
+        for j in orders for k in orders for r in orders for s in orders
+        if j + r == k + s and j + k + r + s <= 10
+    ]
+    for total in (10, 20):
+        for q in STANDARD_Q:
+            for p in (0.01, 0.25, 0.5, 0.75, 0.99):
+                params = NGBSParams(total, p, q)
+                if not params.is_valid():
+                    continue
+                state = ngbs(params)
+                for daggers in orders:
+                    for lowers in orders:
+                        assert mode1_moment(state, daggers, lowers) == _mode1_loop(
+                            state, daggers, lowers)
+                        assert mode2_moment(state, daggers, lowers) == _mode2_loop(
+                            state, daggers, lowers)
+                for spec in cross_specs:
+                    assert cross_moment(state, spec) == _cross_loop(state, spec)
 
 
 def test_literal_hermiticity_on_complex_states(rng):
