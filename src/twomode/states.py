@@ -123,7 +123,9 @@ def ngbs(params: NGBSParams) -> FixedTotalState:
     x = p * theta
 
     c_sq = np.zeros(m + 1)
-    c_sq[0] = (1.0 - x) ** m
+    # validate() lets p exceed 1 + M*q by up to _BOUNDARY_EPS, so x may
+    # exceed 1 by as much; an odd power of 1 - x would then be negative
+    c_sq[0] = max((1.0 - x) ** m, 0.0)
     if x > 0.0:
         log_x = math.log(x)
         for n in range(1, m + 1):

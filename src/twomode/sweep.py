@@ -229,7 +229,9 @@ def compute_rows(config: SweepConfig) -> list[SweepRow]:
 
     Rows come out ordered lexicographically by (q, p, witness label,
     engine).  Parameter points that fail state-family validation yield
-    status ``invalid_params`` rows rather than aborting the sweep.
+    status ``invalid_params`` rows rather than aborting the sweep.  Each
+    (state, engine) pair keeps one moment table, so every distinct moment
+    is computed once for all the witnesses of a grid point.
     """
     config.validate()
     witnesses = sorted(config.witnesses, key=lambda w: w.label())
@@ -242,6 +244,7 @@ def compute_rows(config: SweepConfig) -> list[SweepRow]:
                 state = _build_state(config.state_family, config.total, p, q)
             except (InvalidParams, NormalizationAnomaly):
                 state = None
+            tables = {engine: {} for engine in engines}
             for witness in witnesses:
                 for engine in engines:
                     base = SweepRow(
@@ -262,7 +265,7 @@ def compute_rows(config: SweepConfig) -> list[SweepRow]:
                     if state is None:
                         rows.append(base)
                         continue
-                    res = evaluate(state, witness, engine)
+                    res = evaluate(state, witness, engine, tables[engine])
                     if res.status != "ok":
                         rows.append(replace(base, status=res.status))
                     else:
@@ -555,8 +558,9 @@ def table1_report(
     p_values = np.linspace(start, end, steps)
     present = [False] * len(_TABLE_ROWS)
     minimum = [math.inf] * len(_TABLE_ROWS)
-    # one state serves every row; each row's values reach min() in
-    # (M, q, p, witness) order, which decides between 0.0 and -0.0
+    # one state and one moment table serve every row; each row's values
+    # reach min() in (M, q, p, witness) order, which decides between 0.0 and
+    # -0.0
     for total in m_values:
         for q in q_values:
             for p in p_values:
@@ -564,9 +568,10 @@ def table1_report(
                 if not params.is_valid():
                     continue
                 state = ngbs(params)
+                table = {}
                 for index, (_, witnesses, _) in enumerate(_TABLE_ROWS):
                     for witness in witnesses:
-                        res = evaluate(state, witness, engine)
+                        res = evaluate(state, witness, engine, table)
                         if res.status != "ok":
                             continue
                         minimum[index] = min(minimum[index], res.value)

@@ -1,9 +1,20 @@
 """Nonclassicality and entanglement witnesses built from two-mode moments.
 
-Every witness reduces to a scalar combination of normally ordered moments,
-evaluated through an :class:`~twomode.moments.Engine`.  Antinormally ordered
-building blocks are converted uniformly via ``<a a^dag> = <a^dag a> + 1`` and
-``<a1 a1^dag a2 a2^dag> = <(n1+1)(n2+1)>``.
+Every witness is declared as data: the tuple of normally ordered moments it
+needs (:attr:`Witness.specs`, built once per witness) and a pure reduction
+that turns their values into the witness value and its scale.  Antinormally
+ordered building blocks are converted uniformly via
+``<a a^dag> = <a^dag a> + 1`` and ``<a1 a1^dag a2 a2^dag> = <(n1+1)(n2+1)>``.
+
+:func:`evaluate` fills a moment table, a dict from
+:class:`~twomode.fock.MomentSpec` to value held by the caller, with the specs
+the witness needs that are not in it yet, each through
+:func:`~twomode.moments.expectation`, and then reduces.  A table belongs to
+one (state, engine) pair: the witnesses evaluated with it share their
+moments, so ``quadx``, ``quady``, every ``sum`` angle and both ``epr`` forms
+fetch the mean photon numbers and the pair moments once.  A moment's value
+does not depend on which witness asked for it first, so every result is the
+same float with a shared table as with a fresh one.
 
 Sign convention: a witness certifies its nonclassical property when its value
 is strictly negative.  "Strictly" is enforced with a roundoff-aware guard:
@@ -18,6 +29,7 @@ vacuum) the result carries ``status="degenerate"`` and a NaN value instead of
 raising or returning an infinity.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +60,31 @@ EPR_FORMS = ("literal", "variance")
 
 _KINDS = ("hoa", "quadx", "quady", "sum", "sv", "epr", "su11", "cs")
 
+# the moments shared between witnesses; MomentSpec(j, k, r, s) stands for
+# <a1^dag^j a1^k a2^dag^r a2^s>
+_N1 = MomentSpec(1, 1, 0, 0)
+_N2 = MomentSpec(0, 0, 1, 1)
+_N1N2 = MomentSpec(1, 1, 1, 1)
+_PAIR = MomentSpec(0, 1, 0, 1)  # <a1 a2>
+_QUADRATURE = (
+    _N1, _N2,
+    MomentSpec(0, 1, 0, 0), MomentSpec(0, 0, 0, 1),  # <a1>, <a2>
+    MomentSpec(0, 2, 0, 0), MomentSpec(0, 0, 0, 2),  # <a1^2>, <a2^2>
+    MomentSpec(0, 1, 1, 0),                          # <a1 a2^dag>
+    _PAIR,
+)
+
+# the moments each witness kind reduces, in the order its reduction takes them
+_SPECS = {
+    "quadx": _QUADRATURE,
+    "quady": _QUADRATURE,
+    "epr": _QUADRATURE,
+    "sum": (_N1, _N2, _N1N2, MomentSpec(0, 2, 0, 2), _PAIR),
+    "sv": (_N1, _N2, MomentSpec(1, 0, 1, 0), _PAIR),
+    "su11": (_N1, _N2, _N1N2, MomentSpec(0, 2, 2, 0), MomentSpec(1, 0, 0, 1)),
+    "cs": (MomentSpec(2, 2, 0, 0), MomentSpec(0, 0, 2, 2), _N1N2),
+}
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -75,6 +112,17 @@ class Witness:
             raise ValueError("sum requires the angle theta")
         if self.kind == "epr" and self.form not in EPR_FORMS:
             raise ValueError(f"epr form must be one of {EPR_FORMS}, got {self.form!r}")
+
+    @functools.cached_property
+    def specs(self) -> tuple[MomentSpec, ...]:
+        """The moments the witness reduces, in the order its reduction takes them."""
+        if self.kind == "hoa":
+            l, m = self.l, self.m
+            return (
+                MomentSpec(l + 1, l + 1, m - 1, m - 1), MomentSpec(m - 1, m - 1, l + 1, l + 1),
+                MomentSpec(l, l, m, m), MomentSpec(m, m, l, l),
+            )
+        return _SPECS[self.kind]
 
     def label(self) -> str:
         if self.kind == "hoa":
@@ -139,35 +187,125 @@ def _flag(value: float, scale: float) -> bool:
     return value < -STRICT_ZERO * max(1.0, scale)
 
 
-class _Moments:
-    """Moment accessor bound to one (state, engine) pair."""
+# --- reductions: (witness, *moments in spec order) -> (value, scale), or None
+# when the denominator degenerates ---------------------------------------------
 
-    def __init__(self, state, engine: Engine):
-        self.state = state
-        self.engine = engine
-
-    def __call__(self, j: int, k: int, r: int, s: int) -> complex:
-        return expectation(self.state, MomentSpec(j, k, r, s), self.engine)
-
-    def mean_n(self) -> tuple[float, float]:
-        return self(1, 1, 0, 0).real, self(0, 0, 1, 1).real
+def _hoa(witness, num1, num2, den1, den2):
+    num = num1.real + num2.real
+    den = den1.real + den2.real
+    if den <= DEGENERATE_DENOMINATOR:
+        return None
+    return num / den - 1.0, abs(num / den) + 1.0
 
 
-def _result(witness, value, scale, engine, status="ok") -> WitnessResult:
-    value = float(value)
-    scale = float(scale)
-    return WitnessResult(
-        witness=witness,
-        value=value,
-        nonclassical=False if status != "ok" else bool(_flag(value, scale)),
-        engine=engine,
-        status=status,
-        scale=scale,
-    )
+def _quadrature(witness, n1, n2, a1, a2, a1sq, a2sq, cross_mixed, cross_lower):
+    anti = n1.real + n2.real + 2.0  # <a1 a1^dag + a2 a2^dag>
+    if witness.kind == "quadx":
+        term = (a1sq + a2sq + 2.0 * (cross_mixed + cross_lower)).real
+        mean = 2.0 * ((a1 + a2).real ** 2)
+    else:
+        term = -(a1sq + a2sq - 2.0 * (cross_mixed - cross_lower)).real
+        mean = 2.0 * ((a1 + a2).imag ** 2)
+    return term + anti - mean - 2.0, abs(term) + anti + mean + 2.0
 
 
-def _degenerate(witness, engine) -> WitnessResult:
-    return _result(witness, float("nan"), 1.0, engine, status="degenerate")
+def _sum(witness, n1, n2, n1n2, pair_sq, pair):
+    n1, n2 = n1.real, n2.real
+    anti_pair = n1n2.real + n1 + n2 + 1.0  # <(n1+1)(n2+1)>
+    den = n1 + n2 + 1.0
+    if den <= DEGENERATE_DENOMINATOR:
+        return None
+    theta = witness.theta
+    phase2 = complex(math.cos(2 * theta), -math.sin(2 * theta))
+    phase1 = complex(math.cos(theta), -math.sin(theta))
+    t_anti = 2.0 * anti_pair
+    t_sq = 2.0 * (phase2 * pair_sq).real
+    t_mean = 4.0 * ((phase1 * pair).real ** 2)
+    return (t_anti + t_sq - t_mean) / den - 2.0, (abs(t_anti) + abs(t_sq) + t_mean) / den + 2.0
+
+
+def _sv(witness, n1, n2, raise_pair, lower_pair):
+    t_diag = (n1.real - 0.5) * (n2.real - 0.5)
+    t_cross = (raise_pair * lower_pair).real
+    return t_diag - t_cross, abs(t_diag) + abs(t_cross)
+
+
+def _epr(witness, n1, n2, a1, a2, a1sq, a2sq, cross_mixed, cross_lower):
+    n1, n2 = n1.real, n2.real
+    t1 = (a1sq + a2sq + 2.0 * cross_lower + 2.0 * cross_mixed).real
+    t2 = (-a1sq - a2sq + 2.0 * cross_lower - 2.0 * cross_mixed).real
+    re_sum = (a1 + a2).real ** 2
+    im_diff = (a1 - a2).imag ** 2
+    if witness.form == "literal":
+        i1 = t1 + (n1 + 1.0) + n2 + 2.0 * re_sum - 1.0
+        i2 = t2 + (n1 + 1.0) + (n2 + 1.0) + 2.0 * im_diff - 1.0
+        s1 = abs(t1) + n1 + 1.0 + n2 + 2.0 * re_sum + 1.0
+        s2 = abs(t2) + n1 + n2 + 2.0 + 2.0 * im_diff + 1.0
+    else:
+        i1 = t1 + (n1 + 1.0) + (n2 + 1.0) - 2.0 * re_sum - 1.0
+        i2 = t2 + (n1 + 1.0) + (n2 + 1.0) - 2.0 * im_diff - 1.0
+        s1 = abs(t1) + n1 + n2 + 2.0 + 2.0 * re_sum + 1.0
+        s2 = abs(t2) + n1 + n2 + 2.0 + 2.0 * im_diff + 1.0
+    return i1 * i2 - 1.0, s1 * s2 + 1.0
+
+
+def _su11(witness, n1, n2, n1n2, twist, swap):
+    n1, n2 = n1.real, n2.real
+    anti_pair = n1n2.real + n1 + n2 + 1.0
+    base = 2.0 * anti_pair - (n1 + 1.0) - (n2 + 1.0)
+    twist = 2.0 * twist.real  # 2 Re<a1^2 a2^dag^2>
+    bracket_plus = base + twist - 4.0 * (swap.real ** 2)
+    bracket_minus = base - twist - 4.0 * (swap.imag ** 2)
+    imbalance_sq = abs(n1 - n2) ** 2
+    value = bracket_plus * bracket_minus - imbalance_sq
+    s_base = 2.0 * abs(anti_pair) + n1 + n2 + 2.0 + abs(twist)
+    scale = (s_base + 4.0 * swap.real ** 2) * (s_base + 4.0 * swap.imag ** 2) + imbalance_sq
+    return value, scale
+
+
+def _cs(witness, auto1, auto2, cross):
+    geo = math.sqrt(max(auto1.real, 0.0) * max(auto2.real, 0.0))
+    cross = abs(cross)
+    return geo - cross, geo + cross
+
+
+_REDUCTIONS = {
+    "hoa": _hoa,
+    "quadx": _quadrature,
+    "quady": _quadrature,
+    "sum": _sum,
+    "sv": _sv,
+    "epr": _epr,
+    "su11": _su11,
+    "cs": _cs,
+}
+
+
+def evaluate(
+    state, witness: Witness, engine: Engine | None = None, table: dict | None = None
+) -> WitnessResult:
+    """Evaluate a witness on a state.
+
+    ``table`` is the caller's moment table for this (state, engine) pair:
+    the specs of ``witness`` missing from it are computed and stored, the
+    others are read back.  Pass the same dict for every witness of one state
+    and engine to compute each distinct moment once; never share it between
+    states or engines.  Without a table the moments are computed afresh.
+    """
+    engine = _resolve_engine(state, engine)
+    if table is None:
+        table = {}
+    values = []
+    for spec in witness.specs:
+        value = table.get(spec)
+        if value is None:
+            value = table[spec] = expectation(state, spec, engine)
+        values.append(value)
+    reduced = _REDUCTIONS[witness.kind](witness, *values)
+    if reduced is None:
+        return WitnessResult(witness, math.nan, False, engine, status="degenerate")
+    value, scale = float(reduced[0]), float(reduced[1])
+    return WitnessResult(witness, value, bool(_flag(value, scale)), engine, scale=scale)
 
 
 def hoa(state, l: int, m: int, engine: Engine | None = None) -> WitnessResult:
@@ -179,16 +317,7 @@ def hoa(state, l: int, m: int, engine: Engine | None = None) -> WitnessResult:
     Antibunched when negative.  All moments are number conserving, so both
     engines agree.
     """
-    witness = Witness("hoa", l=l, m=m)
-    engine = _resolve_engine(state, engine)
-    mom = _Moments(state, engine)
-    num = mom(l + 1, l + 1, m - 1, m - 1).real + mom(m - 1, m - 1, l + 1, l + 1).real
-    den = mom(l, l, m, m).real + mom(m, m, l, l).real
-    if den <= DEGENERATE_DENOMINATOR:
-        return _degenerate(witness, engine)
-    value = num / den - 1.0
-    scale = abs(num / den) + 1.0
-    return _result(witness, value, scale, engine)
+    return evaluate(state, Witness("hoa", l=l, m=m), engine)
 
 
 def quad_squeeze(state, engine: Engine | None = None) -> tuple[WitnessResult, WitnessResult]:
@@ -202,25 +331,9 @@ def quad_squeeze(state, engine: Engine | None = None) -> tuple[WitnessResult, Wi
     A negative factor means the corresponding quadrature variance is below
     the vacuum level.
     """
-    engine = _resolve_engine(state, engine)
-    mom = _Moments(state, engine)
-    n1, n2 = mom.mean_n()
-    a1, a2 = mom(0, 1, 0, 0), mom(0, 0, 0, 1)
-    a1sq, a2sq = mom(0, 2, 0, 0), mom(0, 0, 0, 2)
-    cross_mixed = mom(0, 1, 1, 0)   # <a1 a2^dag>
-    cross_lower = mom(0, 1, 0, 1)   # <a1 a2>
-    anti = n1 + n2 + 2.0            # <a1 a1^dag + a2 a2^dag>
-
-    tx = (a1sq + a2sq + 2.0 * (cross_mixed + cross_lower)).real
-    mx = 2.0 * ((a1 + a2).real ** 2)
-    sx = tx + anti - mx - 2.0
-    res_x = _result(Witness("quadx"), sx, abs(tx) + anti + mx + 2.0, engine)
-
-    ty = -(a1sq + a2sq - 2.0 * (cross_mixed - cross_lower)).real
-    my = 2.0 * ((a1 + a2).imag ** 2)
-    sy = ty + anti - my - 2.0
-    res_y = _result(Witness("quady"), sy, abs(ty) + anti + my + 2.0, engine)
-    return res_x, res_y
+    table = {}
+    return (evaluate(state, Witness("quadx"), engine, table),
+            evaluate(state, Witness("quady"), engine, table))
 
 
 def sum_squeeze(state, theta: float, engine: Engine | None = None) -> WitnessResult:
@@ -231,40 +344,14 @@ def sum_squeeze(state, theta: float, engine: Engine | None = None) -> WitnessRes
              - 4 Re^2(e^(-i theta) <a1 a2>)] / <a1 a1^dag + a2 a2^dag - 1> - 2.
     Periodic in theta with period pi.
     """
-    witness = Witness("sum", theta=theta)
-    engine = _resolve_engine(state, engine)
-    mom = _Moments(state, engine)
-    n1, n2 = mom.mean_n()
-    anti_pair = mom(1, 1, 1, 1).real + n1 + n2 + 1.0  # <(n1+1)(n2+1)>
-    pair_sq = mom(0, 2, 0, 2)                         # <a1^2 a2^2>
-    pair = mom(0, 1, 0, 1)                            # <a1 a2>
-    den = n1 + n2 + 1.0
-    if den <= DEGENERATE_DENOMINATOR:
-        return _degenerate(witness, engine)
-    phase2 = complex(math.cos(2 * theta), -math.sin(2 * theta))
-    phase1 = complex(math.cos(theta), -math.sin(theta))
-    t_anti = 2.0 * anti_pair
-    t_sq = 2.0 * (phase2 * pair_sq).real
-    t_mean = 4.0 * ((phase1 * pair).real ** 2)
-    value = (t_anti + t_sq - t_mean) / den - 2.0
-    scale = (abs(t_anti) + abs(t_sq) + t_mean) / den + 2.0
-    return _result(witness, value, scale, engine)
+    return evaluate(state, Witness("sum", theta=theta), engine)
 
 
 def sv(state, engine: Engine | None = None) -> WitnessResult:
     """Moment-based inseparability value
     ``<n1 - 1/2><n2 - 1/2> - <a1^dag a2^dag><a1 a2>``; entangled when negative.
     """
-    engine = _resolve_engine(state, engine)
-    mom = _Moments(state, engine)
-    n1, n2 = mom.mean_n()
-    raise_pair = mom(1, 0, 1, 0)
-    lower_pair = mom(0, 1, 0, 1)
-    t_diag = (n1 - 0.5) * (n2 - 0.5)
-    t_cross = (raise_pair * lower_pair).real
-    value = t_diag - t_cross
-    scale = abs(t_diag) + abs(t_cross)
-    return _result(Witness("sv"), value, scale, engine)
+    return evaluate(state, Witness("sv"), engine)
 
 
 def epr(state, form: str = "literal", engine: Engine | None = None) -> WitnessResult:
@@ -277,34 +364,7 @@ def epr(state, form: str = "literal", engine: Engine | None = None) -> WitnessRe
     the number terms, making I1 and I2 genuine variances of ``x1 + x2`` and
     ``p1 - p2`` (vacuum sits at 0, the physically sensible boundary).
     """
-    if form not in EPR_FORMS:
-        raise ValueError(f"epr form must be one of {EPR_FORMS}, got {form!r}")
-    witness = Witness("epr", form=form)
-    engine = _resolve_engine(state, engine)
-    mom = _Moments(state, engine)
-    n1, n2 = mom.mean_n()
-    a1, a2 = mom(0, 1, 0, 0), mom(0, 0, 0, 1)
-    a1sq, a2sq = mom(0, 2, 0, 0), mom(0, 0, 0, 2)
-    cross_mixed = mom(0, 1, 1, 0)
-    cross_lower = mom(0, 1, 0, 1)
-
-    t1 = (a1sq + a2sq + 2.0 * cross_lower + 2.0 * cross_mixed).real
-    t2 = (-a1sq - a2sq + 2.0 * cross_lower - 2.0 * cross_mixed).real
-    re_sum = (a1 + a2).real ** 2
-    im_diff = (a1 - a2).imag ** 2
-    if form == "literal":
-        i1 = t1 + (n1 + 1.0) + n2 + 2.0 * re_sum - 1.0
-        i2 = t2 + (n1 + 1.0) + (n2 + 1.0) + 2.0 * im_diff - 1.0
-        s1 = abs(t1) + n1 + 1.0 + n2 + 2.0 * re_sum + 1.0
-        s2 = abs(t2) + n1 + n2 + 2.0 + 2.0 * im_diff + 1.0
-    else:
-        i1 = t1 + (n1 + 1.0) + (n2 + 1.0) - 2.0 * re_sum - 1.0
-        i2 = t2 + (n1 + 1.0) + (n2 + 1.0) - 2.0 * im_diff - 1.0
-        s1 = abs(t1) + n1 + n2 + 2.0 + 2.0 * re_sum + 1.0
-        s2 = abs(t2) + n1 + n2 + 2.0 + 2.0 * im_diff + 1.0
-    value = i1 * i2 - 1.0
-    scale = s1 * s2 + 1.0
-    return _result(witness, value, scale, engine)
+    return evaluate(state, Witness("epr", form=form), engine)
 
 
 def su11(state, engine: Engine | None = None) -> WitnessResult:
@@ -320,20 +380,7 @@ def su11(state, engine: Engine | None = None) -> WitnessResult:
     engines agree; the q = 0 binomial family sits identically at zero, which
     is why the roundoff-aware strict-zero guard matters here.
     """
-    engine = _resolve_engine(state, engine)
-    mom = _Moments(state, engine)
-    n1, n2 = mom.mean_n()
-    anti_pair = mom(1, 1, 1, 1).real + n1 + n2 + 1.0
-    base = 2.0 * anti_pair - (n1 + 1.0) - (n2 + 1.0)
-    twist = 2.0 * mom(0, 2, 2, 0).real   # 2 Re<a1^2 a2^dag^2>
-    swap = mom(1, 0, 0, 1)               # <a1^dag a2>
-    bracket_plus = base + twist - 4.0 * (swap.real ** 2)
-    bracket_minus = base - twist - 4.0 * (swap.imag ** 2)
-    imbalance_sq = abs(n1 - n2) ** 2
-    value = bracket_plus * bracket_minus - imbalance_sq
-    s_base = 2.0 * abs(anti_pair) + n1 + n2 + 2.0 + abs(twist)
-    scale = (s_base + 4.0 * swap.real ** 2) * (s_base + 4.0 * swap.imag ** 2) + imbalance_sq
-    return _result(Witness("su11"), value, scale, engine)
+    return evaluate(state, Witness("su11"), engine)
 
 
 def cauchy_schwarz(state, engine: Engine | None = None) -> WitnessResult:
@@ -350,32 +397,4 @@ def cauchy_schwarz(state, engine: Engine | None = None) -> WitnessResult:
     tagged ``literature-standard`` because the paper's own formula is not
     given.
     """
-    engine = _resolve_engine(state, engine)
-    mom = _Moments(state, engine)
-    auto1 = max(mom(2, 2, 0, 0).real, 0.0)
-    auto2 = max(mom(0, 0, 2, 2).real, 0.0)
-    cross = abs(mom(1, 1, 1, 1))
-    geo = math.sqrt(auto1 * auto2)
-    value = geo - cross
-    scale = geo + cross
-    return _result(Witness("cs"), value, scale, engine)
-
-
-def evaluate(state, witness: Witness, engine: Engine | None = None) -> WitnessResult:
-    """Evaluate an arbitrary witness description against a state."""
-    if witness.kind == "hoa":
-        return hoa(state, witness.l, witness.m, engine)
-    if witness.kind in ("quadx", "quady"):
-        res_x, res_y = quad_squeeze(state, engine)
-        return res_x if witness.kind == "quadx" else res_y
-    if witness.kind == "sum":
-        return sum_squeeze(state, witness.theta, engine)
-    if witness.kind == "sv":
-        return sv(state, engine)
-    if witness.kind == "epr":
-        return epr(state, witness.form, engine)
-    if witness.kind == "su11":
-        return su11(state, engine)
-    if witness.kind == "cs":
-        return cauchy_schwarz(state, engine)
-    raise ValueError(f"unknown witness kind {witness.kind!r}")
+    return evaluate(state, Witness("cs"), engine)

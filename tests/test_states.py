@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from twomode import (
     InvalidParams,
@@ -90,6 +90,7 @@ def test_abel_normalization_over_validation_grid():
     st.floats(0.0, 1.0, allow_nan=False),
     st.floats(-0.02, 0.12, allow_nan=False),
 )
+@example(total=1, p=1.0, q=-2.220446049250313e-16)
 def test_ngbs_amplitudes_real_nonnegative(total, p, q):
     params = NGBSParams(total, p, q)
     assume(params.is_valid())

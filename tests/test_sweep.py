@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -314,6 +315,39 @@ def test_format_table1_layout():
     assert lines[0].startswith("Nonclassicality criterion")
     assert len(lines) == 2 + len(rows)
     assert all(line.rstrip().endswith(("Yes", "No", ")")) for line in lines[2:])
+
+
+# --- moment tables -------------------------------------------------------------------
+
+def test_each_moment_is_computed_once_per_state_and_engine(monkeypatch, tmp_path):
+    import twomode.moments as moments
+
+    calls = Counter()
+    states = []  # held so that no id is reused while the test counts
+
+    def counting(name):
+        compute = getattr(moments, name)
+
+        def counted(state, spec):
+            states.append(state)
+            calls[(id(state), spec, name)] += 1
+            return compute(state, spec)
+
+        return counted
+
+    for name in ("literal_moment", "moment_oracle"):
+        monkeypatch.setattr(moments, name, counting(name))
+
+    table1_report(m_values=(10,), q_values=(-0.01, 0.0), p_grid=(0.1, 0.9, 5))
+    assert calls and max(calls.values()) == 1
+
+    calls.clear()
+    compute_rows(small_config(
+        tmp_path, total=10, q_list=(-0.01, 0.0),
+        witnesses=(Witness("quadx"), Witness("quady"), *Witness.parse("sum")),
+    ))
+    assert {name for _, _, name in calls} == {"literal_moment", "moment_oracle"}
+    assert max(calls.values()) == 1
 
 
 # --- CLI -----------------------------------------------------------------------------

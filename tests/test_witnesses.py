@@ -5,7 +5,10 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from twomode import (
+    DEFAULT_THETAS,
     Engine,
+    FixedTotalState,
+    MomentSpec,
     NGBSParams,
     Witness,
     binomial_state,
@@ -13,6 +16,7 @@ from twomode import (
     coherent_product,
     epr,
     evaluate,
+    expectation,
     fock_pair,
     hoa,
     ngbs,
@@ -21,6 +25,7 @@ from twomode import (
     sum_squeeze,
     sv,
 )
+from twomode.sweep import HOA_ORDER_SET, STANDARD_Q
 
 VACUUM = fock_pair(0, 0)
 
@@ -278,3 +283,153 @@ def test_evaluate_dispatch_matches_direct_calls():
     assert evaluate(state, Witness("quady")).value == quad_squeeze(state)[1].value
     assert evaluate(state, Witness("su11")).value == su11(state).value
     assert evaluate(state, Witness("cs")).value == cauchy_schwarz(state).value
+
+
+# --- moment tables ----------------------------------------------------------------
+
+VARIANTS = (
+    [Witness("hoa", l=l, m=m) for l, m in ((1, 1),) + HOA_ORDER_SET]
+    + [Witness("quadx"), Witness("quady")]
+    + [Witness("sum", theta=t) for t in DEFAULT_THETAS]
+    + [Witness("sv"), Witness("epr", form="literal"), Witness("epr", form="variance")]
+    + [Witness("su11"), Witness("cs")]
+)
+
+
+def _fixed_total_fock(n1, n2):
+    amps = np.zeros(n1 + n2 + 1)
+    amps[n1] = 1.0
+    return FixedTotalState(n1 + n2, amps)
+
+
+def _table_states():
+    """(state, engines) cases: ngbs at M in {10, 20} over STANDARD_Q, vacuum
+    and Fock pairs under both engines, a coherent product under the oracle."""
+    both = (Engine.LITERAL, Engine.ORACLE)
+    cases = []
+    for total in (10, 20):
+        for q in STANDARD_Q:
+            for p in (0.3, 0.7):
+                params = NGBSParams(total, p, q)
+                if params.is_valid():
+                    cases.append(pytest.param(ngbs(params), both, id=f"ngbs-{total}-{p}-{q}"))
+    for n1, n2 in ((0, 0), (1, 0), (1, 1), (2, 2), (3, 1)):
+        cases.append(pytest.param(_fixed_total_fock(n1, n2), both, id=f"fock-{n1}-{n2}"))
+    cases.append(pytest.param(coherent_product(0.8, 0.5j, 14), (Engine.ORACLE,), id="coherent"))
+    return cases
+
+
+def _public(state, witness, engine):
+    kind = witness.kind
+    if kind == "hoa":
+        return hoa(state, witness.l, witness.m, engine)
+    if kind in ("quadx", "quady"):
+        return quad_squeeze(state, engine)[kind == "quady"]
+    if kind == "sum":
+        return sum_squeeze(state, witness.theta, engine)
+    if kind == "epr":
+        return epr(state, witness.form, engine)
+    return {"sv": sv, "su11": su11, "cs": cauchy_schwarz}[kind](state, engine)
+
+
+def _reference(state, witness, engine):
+    """(value, scale) or None (degenerate) by the per-witness formulas as they
+    were written before witnesses became data, one moment fetch at a time."""
+    def mom(j, k, r, s):
+        return expectation(state, MomentSpec(j, k, r, s), engine)
+
+    kind = witness.kind
+    if kind == "hoa":
+        l, m = witness.l, witness.m
+        num = mom(l + 1, l + 1, m - 1, m - 1).real + mom(m - 1, m - 1, l + 1, l + 1).real
+        den = mom(l, l, m, m).real + mom(m, m, l, l).real
+        if den <= 1e-14:
+            return None
+        return num / den - 1.0, abs(num / den) + 1.0
+    if kind == "cs":
+        auto1 = max(mom(2, 2, 0, 0).real, 0.0)
+        auto2 = max(mom(0, 0, 2, 2).real, 0.0)
+        cross = abs(mom(1, 1, 1, 1))
+        geo = math.sqrt(auto1 * auto2)
+        return geo - cross, geo + cross
+    n1, n2 = mom(1, 1, 0, 0).real, mom(0, 0, 1, 1).real
+    if kind in ("quadx", "quady", "epr"):
+        a1, a2 = mom(0, 1, 0, 0), mom(0, 0, 0, 1)
+        a1sq, a2sq = mom(0, 2, 0, 0), mom(0, 0, 0, 2)
+        cross_mixed, cross_lower = mom(0, 1, 1, 0), mom(0, 1, 0, 1)
+        anti = n1 + n2 + 2.0
+        if kind == "quadx":
+            tx = (a1sq + a2sq + 2.0 * (cross_mixed + cross_lower)).real
+            mx = 2.0 * ((a1 + a2).real ** 2)
+            return tx + anti - mx - 2.0, abs(tx) + anti + mx + 2.0
+        if kind == "quady":
+            ty = -(a1sq + a2sq - 2.0 * (cross_mixed - cross_lower)).real
+            my = 2.0 * ((a1 + a2).imag ** 2)
+            return ty + anti - my - 2.0, abs(ty) + anti + my + 2.0
+        t1 = (a1sq + a2sq + 2.0 * cross_lower + 2.0 * cross_mixed).real
+        t2 = (-a1sq - a2sq + 2.0 * cross_lower - 2.0 * cross_mixed).real
+        re_sum = (a1 + a2).real ** 2
+        im_diff = (a1 - a2).imag ** 2
+        if witness.form == "literal":
+            i1 = t1 + (n1 + 1.0) + n2 + 2.0 * re_sum - 1.0
+            i2 = t2 + (n1 + 1.0) + (n2 + 1.0) + 2.0 * im_diff - 1.0
+            s1 = abs(t1) + n1 + 1.0 + n2 + 2.0 * re_sum + 1.0
+            s2 = abs(t2) + n1 + n2 + 2.0 + 2.0 * im_diff + 1.0
+        else:
+            i1 = t1 + (n1 + 1.0) + (n2 + 1.0) - 2.0 * re_sum - 1.0
+            i2 = t2 + (n1 + 1.0) + (n2 + 1.0) - 2.0 * im_diff - 1.0
+            s1 = abs(t1) + n1 + n2 + 2.0 + 2.0 * re_sum + 1.0
+            s2 = abs(t2) + n1 + n2 + 2.0 + 2.0 * im_diff + 1.0
+        return i1 * i2 - 1.0, s1 * s2 + 1.0
+    if kind == "sv":
+        t_diag = (n1 - 0.5) * (n2 - 0.5)
+        t_cross = (mom(1, 0, 1, 0) * mom(0, 1, 0, 1)).real
+        return t_diag - t_cross, abs(t_diag) + abs(t_cross)
+    anti_pair = mom(1, 1, 1, 1).real + n1 + n2 + 1.0
+    if kind == "sum":
+        pair_sq, pair = mom(0, 2, 0, 2), mom(0, 1, 0, 1)
+        den = n1 + n2 + 1.0
+        if den <= 1e-14:
+            return None
+        theta = witness.theta
+        phase2 = complex(math.cos(2 * theta), -math.sin(2 * theta))
+        phase1 = complex(math.cos(theta), -math.sin(theta))
+        t_anti = 2.0 * anti_pair
+        t_sq = 2.0 * (phase2 * pair_sq).real
+        t_mean = 4.0 * ((phase1 * pair).real ** 2)
+        return (t_anti + t_sq - t_mean) / den - 2.0, (abs(t_anti) + abs(t_sq) + t_mean) / den + 2.0
+    base = 2.0 * anti_pair - (n1 + 1.0) - (n2 + 1.0)
+    twist = 2.0 * mom(0, 2, 2, 0).real
+    swap = mom(1, 0, 0, 1)
+    bracket_plus = base + twist - 4.0 * (swap.real ** 2)
+    bracket_minus = base - twist - 4.0 * (swap.imag ** 2)
+    imbalance_sq = abs(n1 - n2) ** 2
+    s_base = 2.0 * abs(anti_pair) + n1 + n2 + 2.0 + abs(twist)
+    return (bracket_plus * bracket_minus - imbalance_sq,
+            (s_base + 4.0 * swap.real ** 2) * (s_base + 4.0 * swap.imag ** 2) + imbalance_sq)
+
+
+def _assert_same(got, want):
+    assert (got.witness, got.engine, got.status) == (want.witness, want.engine, want.status)
+    assert got.nonclassical is want.nonclassical
+    assert got.scale == want.scale
+    if got.status == "degenerate":
+        assert math.isnan(got.value) and math.isnan(want.value)
+    else:
+        assert got.value == want.value
+
+
+@pytest.mark.parametrize("state,engines", _table_states())
+def test_shared_table_equals_fresh_evaluation_exactly(state, engines):
+    for engine in engines:
+        table = {}
+        for witness in VARIANTS:
+            shared = evaluate(state, witness, engine, table)
+            _assert_same(shared, _public(state, witness, engine))
+            reference = _reference(state, witness, engine)
+            if reference is None:
+                assert shared.status == "degenerate"
+            else:
+                assert shared.status == "ok"
+                assert (shared.value, shared.scale) == reference
+        assert set(table) == {spec for witness in VARIANTS for spec in witness.specs}
