@@ -24,11 +24,12 @@ from .sweep import (
     STANDARD_P_GRID,
     STANDARD_Q,
     SweepConfig,
-    _parse_engines,
-    _parse_p_grid,
-    _parse_witness_field,
     format_table1,
     load_config,
+    parse_engines,
+    parse_list,
+    parse_p_grid,
+    parse_witness_field,
     reproduce_figures,
     run_sweep,
     table1_report,
@@ -89,18 +90,14 @@ def _sweep_from_flags(args) -> SweepConfig:
         raise ConfigError(f"missing flags: {missing} (or pass --config)")
     witnesses = []
     for token in args.witness:
-        witnesses.extend(_parse_witness_field(token))
-    try:
-        q_list = tuple(float(tok) for tok in args.q.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse q list {args.q!r}") from exc
+        witnesses.extend(parse_witness_field(token))
     config = SweepConfig(
         state_family=args.state.lower(),
         total=args.total,
-        q_list=q_list,
-        p_grid=_parse_p_grid(args.p),
+        q_list=parse_list(args.q),
+        p_grid=parse_p_grid(args.p),
         witnesses=tuple(witnesses),
-        engines=_parse_engines(args.engine),
+        engines=parse_engines(args.engine),
         output_path=args.out,
         output_format=args.output_format,
     )
@@ -131,9 +128,9 @@ def _cmd_table1(args) -> int:
     q_values = STANDARD_Q
     m_values = STANDARD_M
     if args.q is not None:
-        q_values = tuple(float(tok) for tok in args.q.split(",") if tok.strip())
+        q_values = parse_list(args.q)
     if args.totals is not None:
-        m_values = tuple(int(tok) for tok in args.totals.split(",") if tok.strip())
+        m_values = parse_list(args.totals, int, "M list")
     rows = table1_report(m_values=m_values, q_values=q_values)
     print(format_table1(rows))
     # on stderr, so that the table on stdout stays as it was
@@ -155,6 +152,8 @@ def _cmd_compare(args) -> int:
             )
     except (InvalidParams, NormalizationAnomaly) as exc:
         raise ConfigError(str(exc)) from exc
+    if args.max_order < 0:
+        raise ConfigError(f"--max-order must be >= 0, got {args.max_order}")
 
     specs = []
     for daggers in range(args.max_order + 1):

@@ -154,6 +154,12 @@ class MomentSpec:
     def __post_init__(self):
         if min(self.j, self.k, self.r, self.s) < 0:
             raise ValueError(f"exponents must be non-negative: {self}")
+        # specs key every moment table; hashing once here spares the
+        # generated __hash__ rebuilding the tuple on each lookup
+        object.__setattr__(self, "_hash", hash((self.j, self.k, self.r, self.s)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def imbalance(self) -> int:

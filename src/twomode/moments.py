@@ -243,21 +243,35 @@ class MomentReport:
     degenerate: bool
 
 
-def compare_engines(state: FixedTotalState, specs) -> list[MomentReport]:
+def compare_engines(state: FixedTotalState, specs, tables=None) -> list[MomentReport]:
     """Compare both engines on a list of single-mode moment specs.
 
     Only pure single-mode specs (j,k,0,0) or (0,0,r,s) are accepted, since
     those are the ones the literal series define directly.  The degenerate
     flag marks specs whose series bounds cross (empty sum returned as 0).
+
+    ``tables`` maps each engine to the caller's moment table for this state,
+    the table :func:`twomode.witnesses.evaluate` takes: specs missing from
+    the literal and the oracle table are computed and stored, the others are
+    read back.  An engine without a table in ``tables`` gets a new one there.
+    Without ``tables`` every moment is computed afresh.
     """
+    if tables is None:
+        tables = {}
+    literal = tables.setdefault(Engine.LITERAL, {})
+    oracle = tables.setdefault(Engine.ORACLE, {})
     reports = []
     for spec in specs:
         pure1 = spec.r == 0 and spec.s == 0
         pure2 = spec.j == 0 and spec.k == 0
         if not (pure1 or pure2):
             raise ValueError(f"compare_engines expects single-mode specs, got {spec}")
-        lit = literal_moment(state, spec)
-        ora = moment_oracle(state, spec)
+        lit = literal.get(spec)
+        if lit is None:
+            lit = literal[spec] = literal_moment(state, spec)
+        ora = oracle.get(spec)
+        if ora is None:
+            ora = oracle[spec] = moment_oracle(state, spec)
         if pure1:
             degenerate = mode1_sum_empty(state.total, spec.j, spec.k)
         else:

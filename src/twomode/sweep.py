@@ -45,6 +45,10 @@ __all__ = [
     "compute_rows",
     "format_table1",
     "load_config",
+    "parse_engines",
+    "parse_list",
+    "parse_p_grid",
+    "parse_witness_field",
     "read_rows_csv",
     "reproduce_figures",
     "run_sweep",
@@ -133,16 +137,19 @@ def _witness_from_row(row: SweepRow) -> Witness:
     return Witness(row.witness_kind, l=row.l, m=row.m, theta=row.theta, form=row.form)
 
 
-def _parse_engines(text: str) -> tuple[Engine, ...]:
+def parse_engines(text: str) -> tuple[Engine, ...]:
+    """Parse ``literal``, ``oracle`` or ``both`` into the engines to run."""
     key = text.strip().lower()
     if key == "both":
         return (Engine.LITERAL, Engine.ORACLE)
     return (Engine.parse(key),)
 
 
-def _parse_witness_field(text: str) -> tuple[Witness, ...]:
-    # tokens separated by ';' or whitespace; each token may expand (bare
-    # "sum" yields the default theta set)
+def parse_witness_field(text: str) -> tuple[Witness, ...]:
+    """Parse witness tokens separated by ';' or whitespace.
+
+    Each token may expand: a bare ``sum`` yields the default theta set.
+    """
     tokens = [t for t in text.replace(";", " ").split() if t]
     out: list[Witness] = []
     for token in tokens:
@@ -150,7 +157,8 @@ def _parse_witness_field(text: str) -> tuple[Witness, ...]:
     return tuple(out)
 
 
-def _parse_p_grid(text: str) -> tuple[float, float, int]:
+def parse_p_grid(text: str) -> tuple[float, float, int]:
+    """Parse a p grid written ``start:end:steps``."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"p grid must look like start:end:steps, got {text!r}")
@@ -158,6 +166,19 @@ def _parse_p_grid(text: str) -> tuple[float, float, int]:
         return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"cannot parse p grid {text!r}") from exc
+
+
+def parse_list(text: str, convert=float, what: str = "q list") -> tuple:
+    """Parse a comma-separated list such as ``-0.01,0,0.01``.
+
+    Blank items are skipped, so an empty text gives an empty tuple; callers
+    decide whether that is allowed.  ``convert`` turns each item into a
+    number (``float`` for q values, ``int`` for M values).
+    """
+    try:
+        return tuple(convert(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {what} {text!r}") from exc
 
 
 def load_config(path: Path) -> SweepConfig:
@@ -184,10 +205,10 @@ def load_config(path: Path) -> SweepConfig:
         config = SweepConfig(
             state_family=values["state"].lower(),
             total=int(values["m"]),
-            q_list=tuple(float(tok) for tok in values["q"].split(",") if tok.strip()),
-            p_grid=_parse_p_grid(values["p"]),
-            witnesses=_parse_witness_field(values["witnesses"]),
-            engines=_parse_engines(values.get("engine", "literal")),
+            q_list=parse_list(values["q"]),
+            p_grid=parse_p_grid(values["p"]),
+            witnesses=parse_witness_field(values["witnesses"]),
+            engines=parse_engines(values.get("engine", "literal")),
             output_path=Path(values["out"]),
             output_format=values.get("format", "csv"),
         )
@@ -224,6 +245,26 @@ def _build_state(family: str, total: int, p: float, q: float):
     raise ConfigError(f"unknown state family {family!r}")
 
 
+def _grid_point(cache: dict, family: str, total: int, p: float, q: float):
+    """The state of one grid point and its moment tables, built once per cache.
+
+    ``cache`` maps ``(family, M, p, q)`` to ``(state, {engine: table})``, with
+    ``state`` None when the point fails state-family validation.  A caller
+    that passes one cache to several sweeps builds each distinct state once
+    and computes each of its moments once per engine.  (``ngbs`` gives the
+    same state for q = 0.0 and -0.0, which share a key.)
+    """
+    key = (family, total, p, q)
+    point = cache.get(key)
+    if point is None:
+        try:
+            state = _build_state(family, total, p, q)
+        except (InvalidParams, NormalizationAnomaly):
+            state = None
+        point = cache[key] = (state, {})
+    return point
+
+
 def compute_rows(config: SweepConfig) -> list[SweepRow]:
     """Evaluate the sweep grid; one row per (q, p, witness, engine).
 
@@ -233,6 +274,12 @@ def compute_rows(config: SweepConfig) -> list[SweepRow]:
     (state, engine) pair keeps one moment table, so every distinct moment
     is computed once for all the witnesses of a grid point.
     """
+    return _compute_rows(config, {})
+
+
+def _compute_rows(config: SweepConfig, cache: dict) -> list[SweepRow]:
+    """:func:`compute_rows` with states and moment tables from ``cache``
+    (see :func:`_grid_point`)."""
     config.validate()
     witnesses = sorted(config.witnesses, key=lambda w: w.label())
     engines = sorted(config.engines, key=lambda e: e.value)
@@ -240,11 +287,7 @@ def compute_rows(config: SweepConfig) -> list[SweepRow]:
     for q in sorted(config.q_list):
         for p in config.p_values():
             p = float(p)
-            try:
-                state = _build_state(config.state_family, config.total, p, q)
-            except (InvalidParams, NormalizationAnomaly):
-                state = None
-            tables = {engine: {} for engine in engines}
+            state, tables = _grid_point(cache, config.state_family, config.total, p, q)
             for witness in witnesses:
                 for engine in engines:
                     base = SweepRow(
@@ -265,7 +308,7 @@ def compute_rows(config: SweepConfig) -> list[SweepRow]:
                     if state is None:
                         rows.append(base)
                         continue
-                    res = evaluate(state, witness, engine, tables[engine])
+                    res = evaluate(state, witness, engine, tables.setdefault(engine, {}))
                     if res.status != "ok":
                         rows.append(replace(base, status=res.status))
                     else:
@@ -443,32 +486,41 @@ def _panel_moment_orders(panel_name: str, total: int):
     return _DIAGNOSTIC_SPECS
 
 
-def _discrepancy_rows(panels):
-    rows = []
+def _discrepancy_rows(panels, cache: dict):
+    """Yield the discrepancy report's records, ready for ``csv.writer``.
+
+    One record per (panel, valid grid point, mode, moment), with states and
+    moment tables from ``cache`` (see :func:`_grid_point`).  Floats are
+    Python floats, which the csv module writes as their ``repr``, and the
+    flag is written ``true``/``false``: the cells :func:`_cell` would give.
+    """
     for name, config in panels:
         orders = _panel_moment_orders(name, config.total)
+        mode_specs = (
+            (1, [MomentSpec(d, low, 0, 0) for d, low in orders]),
+            (2, [MomentSpec(0, 0, d, low) for d, low in orders]),
+        )
         for q in sorted(config.q_list):
             for p in config.p_values():
                 p = float(p)
                 params = NGBSParams(config.total, p, q)
                 if not params.is_valid():
                     continue
-                state = ngbs(params)
-                for mode in (1, 2):
-                    specs = [
-                        MomentSpec(d, low, 0, 0) if mode == 1 else MomentSpec(0, 0, d, low)
-                        for d, low in orders
-                    ]
-                    for report in compare_engines(state, specs):
-                        spec = report.spec
-                        daggers = spec.j if mode == 1 else spec.r
-                        lowers = spec.k if mode == 1 else spec.s
-                        rows.append((
+                state, tables = _grid_point(cache, "ngbs", config.total, p, q)
+                if state is None:
+                    # a valid point whose state failed to build (a
+                    # NormalizationAnomaly) stops the report, as it always has
+                    state = ngbs(params)
+                for mode, specs in mode_specs:
+                    reports = compare_engines(state, specs, tables)
+                    for (daggers, lowers), report in zip(orders, reports):
+                        yield (
                             name, "ngbs", config.total, p, q, mode, daggers, lowers,
-                            report.literal_value.real, report.oracle_value.real,
-                            report.abs_discrepancy, report.degenerate,
-                        ))
-    return rows
+                            float(report.literal_value.real),
+                            float(report.oracle_value.real),
+                            float(report.abs_discrepancy),
+                            "true" if report.degenerate else "false",
+                        )
 
 
 DISCREPANCY_HEADER = (
@@ -484,9 +536,12 @@ def reproduce_figures(out_dir: Path) -> dict[str, list[SweepRow]]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     panels = figure_panels(out_dir)
+    # one state and one moment table per engine for each distinct grid point,
+    # shared by every panel and the discrepancy report
+    cache: dict = {}
     results: dict[str, list[SweepRow]] = {}
     for name, config in panels:
-        rows = compute_rows(config)
+        rows = _compute_rows(config, cache)
         results[name] = rows
         write_rows_csv(rows, out_dir / f"{name}.csv")
         chart = render_line_chart(
@@ -500,8 +555,7 @@ def reproduce_figures(out_dir: Path) -> dict[str, list[SweepRow]]:
     with open(out_dir / "discrepancy_report.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(DISCREPANCY_HEADER)
-        for rec in _discrepancy_rows(panels):
-            writer.writerow([_cell(v) if not isinstance(v, str) else v for v in rec])
+        writer.writerows(_discrepancy_rows(panels, cache))
     return results
 
 
@@ -552,12 +606,15 @@ def table1_report(
     A criterion is "present" when any valid grid point is flagged
     nonclassical by any of its witness variants.  Single-mode moments go
     through the requested engine (literal by default); the purely
-    number-conserving witnesses are engine-independent.
+    number-conserving witnesses are engine-independent.  Raises
+    :class:`ConfigError` when no grid point is valid (for example an empty
+    q or M list), since every row would then read "No" on no evidence.
     """
     start, end, steps = p_grid
     p_values = np.linspace(start, end, steps)
     present = [False] * len(_TABLE_ROWS)
     minimum = [math.inf] * len(_TABLE_ROWS)
+    valid_points = 0
     # one state and one moment table serve every row; each row's values
     # reach min() in (M, q, p, witness) order, which decides between 0.0 and
     # -0.0
@@ -567,6 +624,7 @@ def table1_report(
                 params = NGBSParams(int(total), float(p), float(q))
                 if not params.is_valid():
                     continue
+                valid_points += 1
                 state = ngbs(params)
                 table = {}
                 for index, (_, witnesses, _) in enumerate(_TABLE_ROWS):
@@ -577,6 +635,10 @@ def table1_report(
                         minimum[index] = min(minimum[index], res.value)
                         if res.nonclassical:
                             present[index] = True
+    if not valid_points:
+        raise ConfigError(
+            f"no valid grid point for M in {tuple(m_values)}, q in {tuple(q_values)}"
+        )
     return [
         Table1Row(
             label=label,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -221,6 +222,21 @@ def test_moment_spec_validation_and_imbalance():
     assert MomentSpec(1, 0, 0, 0).imbalance == 1
     with pytest.raises(ValueError):
         MomentSpec(-1, 0, 0, 0)
+
+
+def test_moment_spec_hash_equality_and_repr():
+    # the hash is computed once per spec; it must agree with equality, follow
+    # dataclasses.replace, and stay out of repr and the fields
+    spec = MomentSpec(1, 1, 0, 0)
+    twin = MomentSpec(1, 1, 0, 0)
+    assert spec == twin and spec is not twin
+    assert hash(spec) == hash(twin) == hash((1, 1, 0, 0))
+    assert {spec: "n1"}[twin] == "n1"
+    assert spec != MomentSpec(1, 1, 0, 1)
+    moved = dataclasses.replace(spec, s=2)
+    assert moved == MomentSpec(1, 1, 0, 2) and hash(moved) == hash((1, 1, 0, 2))
+    assert repr(spec) == "MomentSpec(j=1, k=1, r=0, s=0)"
+    assert [f.name for f in dataclasses.fields(MomentSpec)] == ["j", "k", "r", "s"]
 
 
 def test_normalized_constructor_and_norm():

@@ -285,6 +285,34 @@ def test_compare_engines_diagonal_and_offdiagonal():
     assert offdiag.abs_discrepancy == pytest.approx(0.8535533905932737, abs=1e-12)
 
 
+@pytest.mark.parametrize("total", [10, 20])
+def test_compare_engines_reads_and_fills_tables(total):
+    orders = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 1), (2, 2), (3, 3), (9, 9), (25, 25)]
+    specs = [MomentSpec(d, low, 0, 0) for d, low in orders]
+    specs += [MomentSpec(0, 0, d, low) for d, low in orders]
+    for q in STANDARD_Q:
+        for p in (0.05, 0.5, 0.95):
+            params = NGBSParams(total, p, q)
+            if not params.is_valid():
+                continue
+            state = ngbs(params)
+            tables = {}
+            reports = compare_engines(state, specs, tables)
+            assert reports == compare_engines(state, specs)
+            assert set(tables) == {Engine.LITERAL, Engine.ORACLE}
+            assert tables[Engine.LITERAL] == {r.spec: r.literal_value for r in reports}
+            assert tables[Engine.ORACLE] == {r.spec: r.oracle_value for r in reports}
+            assert compare_engines(state, specs, tables) == reports
+
+    # a value already in a table is read back, not computed again
+    state = ngbs(NGBSParams(total, 0.5, -0.01))
+    tables = {Engine.ORACLE: {specs[0]: 7j}}
+    report = compare_engines(state, specs[:1], tables)[0]
+    assert report.oracle_value == 7j
+    assert report.literal_value == literal_moment(state, specs[0])
+    assert tables[Engine.LITERAL] == {specs[0]: report.literal_value}
+
+
 def test_compare_engines_flags_degenerate_orders():
     report = compare_engines(binomial_state(2, 0.5), [MomentSpec(4, 4, 0, 0)])[0]
     assert report.degenerate

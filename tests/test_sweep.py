@@ -4,14 +4,18 @@ from collections import Counter
 import pytest
 
 from twomode.cli import main
+from twomode.fock import MomentSpec
 from twomode.moments import Engine
+from twomode.states import NGBSParams
 from twomode.svgplot import render_line_chart
 from twomode.sweep import (
     CSV_HEADER,
     DISCREPANCY_HEADER,
     ConfigError,
     SweepConfig,
+    _panel_moment_orders,
     compute_rows,
+    figure_panels,
     format_table1,
     load_config,
     read_rows_csv,
@@ -350,6 +354,64 @@ def test_each_moment_is_computed_once_per_state_and_engine(monkeypatch, tmp_path
     assert max(calls.values()) == 1
 
 
+def test_figures_build_each_state_and_moment_once(monkeypatch, tmp_path):
+    import twomode.moments as moments
+    import twomode.sweep as sweep
+
+    builds = Counter()
+    calls = Counter()
+    points = {}  # id(state) -> (M, p, q)
+    states = []  # held so that no id is reused while the test counts
+    build = sweep.ngbs
+
+    def counted_build(params):
+        point = (params.total, params.p, params.q)
+        builds[point] += 1
+        state = build(params)
+        states.append(state)
+        points[id(state)] = point
+        return state
+
+    def counting(name):
+        compute = getattr(moments, name)
+
+        def counted(state, spec):
+            calls[(points[id(state)], spec, name)] += 1
+            return compute(state, spec)
+
+        return counted
+
+    monkeypatch.setattr(sweep, "ngbs", counted_build)
+    for name in ("literal_moment", "moment_oracle"):
+        monkeypatch.setattr(moments, name, counting(name))
+
+    reproduce_figures(tmp_path)
+
+    # what the panels' witnesses and the report's engine comparison need
+    grid_points = set()
+    needed = set()
+    for name, config in figure_panels(tmp_path):
+        (engine,) = config.engines
+        panel_engine = "moment_oracle" if engine is Engine.ORACLE else "literal_moment"
+        orders = _panel_moment_orders(name, config.total)
+        compared = [MomentSpec(d, low, 0, 0) for d, low in orders]
+        compared += [MomentSpec(0, 0, d, low) for d, low in orders]
+        for q in config.q_list:
+            for p in config.p_values():
+                point = (config.total, float(p), q)
+                grid_points.add(point)
+                if not NGBSParams(*point).is_valid():
+                    continue
+                needed.update((point, spec, panel_engine)
+                              for witness in config.witnesses for spec in witness.specs)
+                needed.update((point, spec, both)
+                              for spec in compared
+                              for both in ("literal_moment", "moment_oracle"))
+    assert builds == Counter(dict.fromkeys(grid_points, 1))
+    assert set(calls) == needed
+    assert max(calls.values()) == 1
+
+
 # --- CLI -----------------------------------------------------------------------------
 
 def test_cli_sweep_roundtrip(tmp_path):
@@ -388,6 +450,33 @@ def test_cli_exit_codes(tmp_path):
                  "--p", "0.2:0.8:3", "--witness", "sv",
                  "--out", str(blocker / "sub")]) == 2
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--q", ""],
+        ["table1", "--M", ""],
+        ["table1", "--M", "-1"],
+        ["table1", "--M", "ten"],
+        ["table1", "--q", "-0.5", "--M", "10"],
+        ["compare", "--M", "3", "--p", "0.5", "--max-order", "-1"],
+    ],
+)
+def test_cli_rejects_empty_or_invalid_grids(argv, capsys):
+    # an empty grid, or one without a valid point, would print a table of
+    # "No" rows (or no rows) as if it had been evaluated
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_table1_report_rejects_grid_without_valid_point():
+    with pytest.raises(ConfigError):
+        table1_report(m_values=(10,), q_values=())
+    with pytest.raises(ConfigError):
+        table1_report(m_values=(-1,))
 
 
 def test_cli_compare_runs(capsys):
