@@ -22,6 +22,11 @@ as public API and as its test reference: the engine discrepancy report of
 ``twomode figures`` holds rounding residue (up to about 1e-6), and its
 values reproduce only if every product and the BLAS reduction layout of the
 sum stay the same.
+
+On a fixed-total state a number-changing moment is zero by the total-photon
+selection rule, and ``moment_oracle`` returns ``0j`` for it without building
+either grid; the grid ``np.vdot`` would give the same ``0j``.  Every other
+moment, and every moment of a ``TwoModeState``, goes through the grids.
 """
 
 import functools
@@ -311,7 +316,14 @@ def moment_oracle(state, spec: MomentSpec) -> complex:
     for the reason given in the module docstring.  The route shares nothing
     with the log-factorial weights of the literal series, which keeps it an
     independent check on them.
+
+    A number-changing spec on a :class:`FixedTotalState` returns ``0j``
+    without building a grid: the two images lie on different anti-diagonals
+    (the total-photon selection rule), so the ``np.vdot`` adds only exact
+    zeros to accumulators that start at +0 and gives ``0j`` too.
     """
+    if not spec.conserving and isinstance(state, FixedTotalState):
+        return 0j
     bra = _lowered_grid(state, spec.j, spec.r)
     if (spec.k, spec.s) == (spec.j, spec.r):
         ket = bra

@@ -13,7 +13,9 @@ total-photon selection rule forces to zero; the operator oracle in
 :mod:`twomode.fock` therefore disagrees with them off the diagonal.  Both
 evaluation routes are kept:
 
-- ``Engine.ORACLE``: every moment via :func:`twomode.fock.moment_oracle`.
+- ``Engine.ORACLE``: every moment via :func:`twomode.fock.moment_oracle`,
+  which answers a number-changing moment of a fixed-total state with ``0j``
+  by the selection rule and takes every other moment from its Fock grids.
 - ``Engine.LITERAL``: single-mode moments from the closed-form series;
   cross-mode number-conserving moments from the exact one-index closed form
   (identical to the oracle); cross-mode number-changing moments factorized
@@ -45,7 +47,7 @@ scalar loop in the last bit on CPUs with FMA.
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,8 +234,7 @@ def expectation(state, spec: MomentSpec, engine: Engine) -> complex:
     return literal_moment(state, spec)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """Side-by-side literal/oracle values for one moment."""
 
     spec: MomentSpec
@@ -276,13 +277,5 @@ def compare_engines(state: FixedTotalState, specs, tables=None) -> list[MomentRe
             degenerate = mode1_sum_empty(state.total, spec.j, spec.k)
         else:
             degenerate = mode2_sum_empty(state.total, spec.r, spec.s)
-        reports.append(
-            MomentReport(
-                spec=spec,
-                literal_value=lit,
-                oracle_value=ora,
-                abs_discrepancy=abs(lit - ora),
-                degenerate=degenerate,
-            )
-        )
+        reports.append(MomentReport(spec, lit, ora, abs(lit - ora), degenerate))
     return reports

@@ -15,6 +15,7 @@ fixtures: the former are exact basis kets, the latter sit exactly on the
 classical boundary of every witness.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +77,9 @@ class NGBSParams:
         m, p, q = self.total, self.p, self.q
         if m < 0:
             raise InvalidParams(f"total photon number must be >= 0, got {m}")
+        # every comparison below is False for NaN, so it would pass them all
+        if not (math.isfinite(p) and math.isfinite(q)):
+            raise InvalidParams(f"p and q must be finite, got p={p!r}, q={q!r}")
         if not (0.0 <= p <= 1.0):
             raise InvalidParams(f"p must lie in [0, 1], got {p!r}")
         if 1.0 + m * q <= 0.0:
@@ -97,6 +101,12 @@ class NGBSParams:
         except InvalidParams:
             return False
         return True
+
+
+@functools.lru_cache(maxsize=32)
+def _log_factorials(total: int) -> tuple[float, ...]:
+    """``log_factorial(n)`` for n = 0..total, the same floats, one table per M."""
+    return tuple(math.lgamma(n + 1) for n in range(total + 1))
 
 
 def ngbs(params: NGBSParams) -> FixedTotalState:
@@ -127,11 +137,14 @@ def ngbs(params: NGBSParams) -> FixedTotalState:
     # exceed 1 by as much; an odd power of 1 - x would then be negative
     c_sq[0] = max((1.0 - x) ** m, 0.0)
     if x > 0.0:
-        log_x = math.log(x)
+        lf = _log_factorials(m)
+        # the sum below runs left to right, so this prefix keeps every bit
+        log_head = math.log(x) + lf[m]
         for n in range(1, m + 1):
-            base = max((p + n * q) * theta, 0.0)
-            tail = max(1.0 - (p + n * q) * theta, 0.0)
-            log_term = log_x + log_factorial(m) - log_factorial(n) - log_factorial(m - n)
+            share = (p + n * q) * theta
+            base = max(share, 0.0)
+            tail = max(1.0 - share, 0.0)
+            log_term = log_head - lf[n] - lf[m - n]
             if n - 1 > 0:
                 if base == 0.0:
                     continue

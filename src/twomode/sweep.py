@@ -18,8 +18,9 @@ status).
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +114,7 @@ class SweepConfig:
         return np.linspace(start, end, steps)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     state_family: str
     total: int
     p: float
@@ -290,34 +290,18 @@ def _compute_rows(config: SweepConfig, cache: dict) -> list[SweepRow]:
             state, tables = _grid_point(cache, config.state_family, config.total, p, q)
             for witness in witnesses:
                 for engine in engines:
-                    base = SweepRow(
-                        state_family=config.state_family,
-                        total=config.total,
-                        p=p,
-                        q=q,
-                        witness_kind=witness.kind,
-                        l=witness.l,
-                        m=witness.m,
-                        theta=witness.theta,
-                        form=witness.form,
-                        engine=engine.value,
-                        value=None,
-                        nonclassical=None,
-                        status="invalid_params",
-                    )
-                    if state is None:
-                        rows.append(base)
-                        continue
-                    res = evaluate(state, witness, engine, tables.setdefault(engine, {}))
-                    if res.status != "ok":
-                        rows.append(replace(base, status=res.status))
-                    else:
-                        rows.append(replace(
-                            base,
-                            value=res.value,
-                            nonclassical=res.nonclassical,
-                            status="ok",
-                        ))
+                    value = nonclassical = None
+                    status = "invalid_params"
+                    if state is not None:
+                        res = evaluate(state, witness, engine, tables.setdefault(engine, {}))
+                        status = res.status
+                        if status == "ok":
+                            value, nonclassical = res.value, res.nonclassical
+                    rows.append(SweepRow(
+                        config.state_family, config.total, p, q, witness.kind,
+                        witness.l, witness.m, witness.theta, witness.form,
+                        engine.value, value, nonclassical, status,
+                    ))
     return rows
 
 
@@ -490,9 +474,10 @@ def _discrepancy_rows(panels, cache: dict):
     """Yield the discrepancy report's records, ready for ``csv.writer``.
 
     One record per (panel, valid grid point, mode, moment), with states and
-    moment tables from ``cache`` (see :func:`_grid_point`).  Floats are
-    Python floats, which the csv module writes as their ``repr``, and the
-    flag is written ``true``/``false``: the cells :func:`_cell` would give.
+    moment tables from ``cache`` (see :func:`_grid_point`).  ``p`` and ``q``
+    come as their ``repr``, made once per grid point; the other floats are
+    Python floats, which the csv module writes as their ``repr``; the flag is
+    written ``true``/``false``: the cells :func:`_cell` would give.
     """
     for name, config in panels:
         orders = _panel_moment_orders(name, config.total)
@@ -501,11 +486,13 @@ def _discrepancy_rows(panels, cache: dict):
             (2, [MomentSpec(0, 0, d, low) for d, low in orders]),
         )
         for q in sorted(config.q_list):
+            q_cell = repr(q)
             for p in config.p_values():
                 p = float(p)
                 params = NGBSParams(config.total, p, q)
                 if not params.is_valid():
                     continue
+                p_cell = repr(p)
                 state, tables = _grid_point(cache, "ngbs", config.total, p, q)
                 if state is None:
                     # a valid point whose state failed to build (a
@@ -515,7 +502,7 @@ def _discrepancy_rows(panels, cache: dict):
                     reports = compare_engines(state, specs, tables)
                     for (daggers, lowers), report in zip(orders, reports):
                         yield (
-                            name, "ngbs", config.total, p, q, mode, daggers, lowers,
+                            name, "ngbs", config.total, p_cell, q_cell, mode, daggers, lowers,
                             float(report.literal_value.real),
                             float(report.oracle_value.real),
                             float(report.abs_discrepancy),

@@ -32,6 +32,7 @@ raising or returning an infinity.
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fock import FixedTotalState, MomentSpec
 from .moments import Engine, expectation
@@ -110,6 +111,8 @@ class Witness:
                 raise ValueError(f"hoa requires l >= m >= 1, got l={self.l}, m={self.m}")
         if self.kind == "sum" and self.theta is None:
             raise ValueError("sum requires the angle theta")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
         if self.kind == "epr" and self.form not in EPR_FORMS:
             raise ValueError(f"epr form must be one of {EPR_FORMS}, got {self.form!r}")
 
@@ -163,8 +166,7 @@ class Witness:
         raise ValueError(f"cannot parse witness {text!r}")
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(NamedTuple):
     """One witness evaluation: value, classification flag and provenance."""
 
     witness: Witness

@@ -1,21 +1,28 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import twomode.fock as fock
+import twomode.moments as moments
 from twomode import (
     CutoffOverflow,
     FixedTotalState,
     MomentSpec,
+    NGBSParams,
     TwoModeState,
     apply_ladder,
+    compare_engines,
     fock_pair,
     inner_product,
     log_factorial,
     moment_oracle,
+    ngbs,
 )
+from twomode.sweep import _DIAGNOSTIC_SPECS, STANDARD_Q
 
 from conftest import random_fixed_total, random_grid_state
 
@@ -147,6 +154,65 @@ def test_oracle_equals_ladder_chain_exactly(kind, n1, n2, exponents, seed):
         state = random_fixed_total(rng, n1)
     spec = MomentSpec(*exponents)
     assert moment_oracle(state, spec) == _ladder_chain_oracle(state, spec)
+
+
+@given(
+    st.integers(0, 24),
+    st.tuples(*[st.integers(0, 8)] * 4).filter(lambda e: e[0] - e[1] + e[2] - e[3] != 0),
+    st.integers(0, 2**32 - 1),
+)
+def test_oracle_selection_rule_equals_grid_value_exactly(total, exponents, seed):
+    # the oracle answers a number-changing moment of a fixed-total state
+    # without its grids; the answer must be the grid value, sign of zero
+    # included, also when amplitudes hold -0.0 parts
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(total + 1) + 1j * rng.standard_normal(total + 1)
+    amps.real[rng.random(total + 1) < 0.3] = -0.0
+    amps.imag[rng.random(total + 1) < 0.3] = -0.0
+    if not np.any(amps):
+        amps[0] = complex(-0.0, 1.0)
+    state = FixedTotalState(total, amps / np.linalg.norm(amps))
+    spec = MomentSpec(*exponents)
+    got = moment_oracle(state, spec)
+    want = _ladder_chain_oracle(state, spec)
+    assert got == want
+    for part in ("real", "imag"):
+        sign = math.copysign(1.0, getattr(got, part))
+        assert sign == math.copysign(1.0, getattr(want, part)), part
+
+
+def test_oracle_builds_no_grid_for_number_changing_moments(monkeypatch):
+    calls = []   # (spec, fixed-total) per oracle call
+    builds = []  # the spec of the oracle call that built each grid
+    oracle, lower = moments.moment_oracle, fock._lowered_grid
+
+    def counted_oracle(state, spec):
+        calls.append((spec, isinstance(state, FixedTotalState)))
+        return oracle(state, spec)
+
+    def counted_lower(state, mode1, mode2):
+        builds.append(calls[-1][0])
+        return lower(state, mode1, mode2)
+
+    monkeypatch.setattr(moments, "moment_oracle", counted_oracle)
+    monkeypatch.setattr(fock, "_lowered_grid", counted_lower)
+    specs = [MomentSpec(d, low, 0, 0) for d, low in _DIAGNOSTIC_SPECS]
+    specs += [MomentSpec(0, 0, d, low) for d, low in _DIAGNOSTIC_SPECS]
+    for total in (10, 20):
+        for q in STANDARD_Q:
+            params = NGBSParams(total, 0.5, q)
+            if params.is_valid():
+                compare_engines(ngbs(params), specs)
+
+    assert calls and all(fixed for _, fixed in calls)
+    assert any(not spec.conserving for spec, _ in calls)
+    # one grid when bra and ket are the same image, else two; none at all
+    # for a number-changing spec
+    expected = Counter()
+    for spec, _ in calls:
+        if spec.conserving:
+            expected[spec] += 1 if (spec.j, spec.r) == (spec.k, spec.s) else 2
+    assert Counter(builds) == expected
 
 
 def test_selection_rule_randomized(rng):

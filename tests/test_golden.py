@@ -6,8 +6,16 @@ the file set and the stdout exact).  The reference files are only read.
 ``golden/table1_minima.json`` holds what the table1 stdout cannot show: each
 row's label, verdict and ``repr`` of its minimum over the standard grid, as
 ``table1_report()`` gave them before the figures pipeline came to share
-states and moment tables."""
+states and moment tables.
 
+``golden/sweep_standard.csv.gz`` is the standard-grid sweep (ngbs at M=20,
+the six standard q values, the 99-point p grid, every witness, both engines;
+15,444 rows) as ``twomode sweep`` wrote it before the oracle answered
+number-changing moments of fixed-total states from the selection rule.  It
+is the only gate on the ``epr``, ``su11`` and ``cs`` witnesses and on
+``--engine both`` through the CSV writer."""
+
+import gzip
 import importlib.util
 import json
 from pathlib import Path
@@ -49,3 +57,19 @@ def test_table1_minima_match_golden():
         expected = float(ref["minimum"])
         # the relative deviation of the benchmark's check: |d| / max(1, |ref|)
         assert abs(row.minimum - expected) <= 1e-12 * max(1.0, abs(expected)), row.label
+
+
+STANDARD_SWEEP = [
+    "sweep", "--state", "ngbs", "--M", "20", "--q=-0.01,-0.005,0,0.005,0.01,0.1",
+    "--p", "0.01:0.99:99", "--witness", "hoa:2,2", "--witness", "hoa:5,1",
+    "--witness", "hoa:9,1", "--witness", "quadx", "--witness", "quady",
+    "--witness", "sum", "--witness", "sv", "--witness", "epr", "--witness", "su11",
+    "--witness", "cs", "--engine", "both",
+]
+
+
+def test_standard_sweep_matches_golden(tmp_path):
+    assert main([*STANDARD_SWEEP, "--out", str(tmp_path)]) == 0
+    with gzip.open(GOLDEN / "sweep_standard.csv.gz", "rt", newline="") as handle:
+        reference = handle.read()
+    check.compare_csv_text((tmp_path / "sweep.csv").read_text(), reference, "sweep_standard")

@@ -8,11 +8,13 @@ from twomode import (
     InvalidParams,
     MomentSpec,
     NGBSParams,
+    NormalizationAnomaly,
     TruncationInadequate,
     binomial_state,
     coherent_product,
     fock_pair,
     moment_oracle,
+    log_factorial,
     ngbs,
 )
 
@@ -108,11 +110,58 @@ def test_ngbs_amplitudes_real_nonnegative(total, p, q):
         (10, 0.05, -0.01),    # p + M q < 0
         (20, 0.95, -0.01),    # p exceeds 1 + M q
         (-1, 0.5, 0.0),       # negative photon number
+        (10, math.nan, 0.0),  # non-finite p or q: NaN fails no comparison
+        (10, 0.5, math.nan),
+        (10, math.inf, 0.0),
+        (10, 0.5, math.inf),  # 1 + M q = inf would make it the product state
     ],
 )
 def test_invalid_params_rejected(total, p, q):
     with pytest.raises(InvalidParams):
         ngbs(NGBSParams(total, p, q))
+
+
+def _ngbs_squares_scalar_loop(m, p, q):
+    """``ngbs``'s squared coefficients as its loop computed them before the
+    log-factorials came from a per-M table."""
+    theta = 1.0 / (1.0 + m * q)
+    x = p * theta
+    c_sq = np.zeros(m + 1)
+    c_sq[0] = max((1.0 - x) ** m, 0.0)
+    if x > 0.0:
+        log_x = math.log(x)
+        for n in range(1, m + 1):
+            base = max((p + n * q) * theta, 0.0)
+            tail = max(1.0 - (p + n * q) * theta, 0.0)
+            log_term = log_x + log_factorial(m) - log_factorial(n) - log_factorial(m - n)
+            if n - 1 > 0:
+                if base == 0.0:
+                    continue
+                log_term += (n - 1) * math.log(base)
+            if m - n > 0:
+                if tail == 0.0:
+                    continue
+                log_term += (m - n) * math.log(tail)
+            c_sq[n] = math.exp(log_term)
+    return c_sq
+
+
+@pytest.mark.parametrize("total", [10, 20, 101, 400])
+def test_ngbs_amplitudes_equal_scalar_loop_exactly(total):
+    checked = 0
+    for q in VALID_Q:
+        for p in [0.0, *np.linspace(0.01, 0.99, 25), 1.0]:
+            params = NGBSParams(total, float(p), q)
+            if not params.is_valid():
+                continue
+            c_sq = _ngbs_squares_scalar_loop(total, float(p), q)
+            if abs(float(c_sq.sum()) - 1.0) > 1e-8:
+                with pytest.raises(NormalizationAnomaly):
+                    ngbs(params)
+                continue
+            assert np.array_equal(ngbs(params).amplitudes, np.sqrt(c_sq))
+            checked += 1
+    assert checked >= 4 * 27
 
 
 def test_boundary_parameter_point_is_valid():

@@ -472,6 +472,47 @@ def test_cli_rejects_empty_or_invalid_grids(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_cli_sweep_rejects_nonfinite_theta_before_any_work(tmp_path, capsys, theta):
+    # unchecked, a NaN angle gives ok rows valued nan and an infinite one a
+    # "math domain error" once the whole sweep has run
+    out = tmp_path / "out"
+    assert main(["sweep", "--state", "ngbs", "--M", "10", "--q", "0",
+                 "--p", "0.1:0.9:3", "--witness", f"sum:{theta}",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: theta must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ["nan", "inf"])
+def test_cli_sweep_nonfinite_q_gives_invalid_params_rows(tmp_path, q):
+    # NaN passes every range comparison, and q = inf would build the
+    # product state |0, M> as if it were a member of the family
+    out = tmp_path / "out"
+    assert main(["sweep", "--state", "ngbs", "--M", "10", "--q", f"0.01,{q}",
+                 "--p", "0.1:0.9:3", "--witness", "sv", "--witness", "hoa:2,1",
+                 "--engine", "both", "--out", str(out)]) == 0
+    rows = read_rows_csv(out / "sweep.csv")
+    assert len(rows) == 2 * 3 * 2 * 2
+    statuses = Counter((math.isfinite(r.q), r.status) for r in rows)
+    assert statuses == {(True, "ok"): 12, (False, "invalid_params"): 12}
+
+
+@pytest.mark.parametrize("q", ["nan", "inf"])
+def test_cli_table1_rejects_nonfinite_q(capsys, q):
+    assert main(["table1", "--q", q, "--M", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no valid grid point")
+    # beside a finite q the point is skipped like any other invalid one
+    assert main(["table1", "--q", f"0.01,{q}", "--M", "10"]) == 0
+    mixed = capsys.readouterr().out
+    assert main(["table1", "--q", "0.01", "--M", "10"]) == 0
+    assert mixed == capsys.readouterr().out
+
+
 def test_table1_report_rejects_grid_without_valid_point():
     with pytest.raises(ConfigError):
         table1_report(m_values=(10,), q_values=())

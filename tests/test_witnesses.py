@@ -259,7 +259,9 @@ def test_witness_parse_tokens():
     assert Witness.parse("cauchy") == [Witness("cs")]
 
 
-@pytest.mark.parametrize("token", ["hoa:1,2", "hoa:x,y", "nope", "epr:odd", "quadx:3"])
+@pytest.mark.parametrize(
+    "token", ["hoa:1,2", "hoa:x,y", "nope", "epr:odd", "quadx:3", "sum:nan", "sum:inf", "sum:-inf"]
+)
 def test_witness_parse_rejects_bad_tokens(token):
     with pytest.raises(ValueError):
         Witness.parse(token)
