@@ -42,6 +42,22 @@ produces, the result is the scalar loop's float for float.  For complex
 amplitudes numpy's vector complex multiply may fuse a multiply-add where the
 scalar product does not, so ``conj(c[bra]) * c[ket]`` can differ from a
 scalar loop in the last bit on CPUs with FMA.
+
+The kernel works on the last axis, so the literal engine also takes a
+:class:`MomentBatch`, the ``(P, M+1)`` stack of P states of one M, and gives
+one value per row; the sweeps use it to compute each moment once per q slice
+of their p grid.  Row i is the value, type (``np.complex128``, or Python
+``0j`` for an empty series) and sign of zero of the call on state i alone:
+
+- the plan and its weights do not depend on the amplitudes;
+- the gather and both products are elementwise, and the same numpy loops
+  run over a stack as over one row (checked exactly, complex rows included,
+  in ``tests/test_moments.py``);
+- ``cumsum(axis=-1)`` adds each row in index order, as the 1-D ``cumsum``
+  does, and the ``0j`` start is added per row;
+- the product of two single-mode series for a number-changing cross moment
+  is taken row by row with the scalar ``*``: numpy's vector complex
+  multiply gives other bits on complex amplitudes.
 """
 
 import enum
@@ -55,6 +71,7 @@ from .fock import FixedTotalState, MomentSpec, log_factorial, moment_oracle
 
 __all__ = [
     "Engine",
+    "MomentBatch",
     "MomentReport",
     "compare_engines",
     "cross_moment",
@@ -97,6 +114,27 @@ def mode2_sum_empty(total: int, daggers: int, lowers: int) -> bool:
     """True when the mode-2 series has crossing bounds (empty sum)."""
     lo = 0 if lowers >= daggers else daggers - lowers
     return lo > total - lowers
+
+
+class MomentBatch(NamedTuple):
+    """A stack of fixed-total states that share the total photon number M.
+
+    Row i of ``amplitudes``, shape ``(P, M+1)``, holds the ``c_n`` of state
+    i.  :func:`literal_moment` and the series functions take a batch in
+    place of a state and return a list with one value per row, each the
+    value the state alone gives: same float, same type, same sign of zero.
+    """
+
+    total: int
+    amplitudes: np.ndarray
+
+    @classmethod
+    def stack(cls, states) -> "MomentBatch":
+        """Stack fixed-total states of one M, in order."""
+        totals = {state.total for state in states}
+        if len(totals) != 1:
+            raise ValueError(f"a batch needs states of one total, got {sorted(totals)}")
+        return cls(totals.pop(), np.stack([state.amplitudes for state in states]))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -155,20 +193,30 @@ def _series_plan(kind: str, total: int, exponents: tuple[int, ...]):
     return plan
 
 
-def _series(state: FixedTotalState, kind: str, exponents: tuple[int, ...]) -> complex:
+def _zero(state):
+    """The value of an empty series: ``0j``, or a list of one per row of a batch."""
+    if isinstance(state, MomentBatch):
+        return [0.0 + 0.0j] * len(state.amplitudes)
+    return 0.0 + 0.0j
+
+
+def _series(state, kind: str, exponents: tuple[int, ...]):
     """Sum ``conj(c[bra]) * c[ket] * w`` over a cached plan, in index order.
 
+    Works on the last axis of the amplitudes, so a :class:`MomentBatch`
+    gives a list of one value per row, each the value its row alone gives.
     Adding the ``cumsum`` total to ``0j`` gives a running sum started at
     ``0j``, so even an all-zero sum has the sign of the scalar loop's.
     """
     bra, ket, w = _series_plan(kind, state.total, exponents)
     if not len(w):
-        return 0.0 + 0.0j
+        return _zero(state)
     c = state.amplitudes
-    return (0.0 + 0.0j) + (np.conj(c[bra]) * c[ket] * w).cumsum()[-1]
+    sums = (0.0 + 0.0j) + (np.conj(c[..., bra]) * c[..., ket] * w).cumsum(axis=-1)[..., -1]
+    return list(sums) if isinstance(state, MomentBatch) else sums
 
 
-def mode1_moment(state: FixedTotalState, daggers: int, lowers: int) -> complex:
+def mode1_moment(state, daggers: int, lowers: int):
     """Closed-form series for ``<a1^dag^daggers a1^lowers>``.
 
     Empty sums (e.g. lowers > M) return 0; terms whose factorial arguments
@@ -179,14 +227,14 @@ def mode1_moment(state: FixedTotalState, daggers: int, lowers: int) -> complex:
     return _series(state, "mode1", (daggers, lowers))
 
 
-def mode2_moment(state: FixedTotalState, daggers: int, lowers: int) -> complex:
+def mode2_moment(state, daggers: int, lowers: int):
     """Closed-form series for ``<a2^dag^daggers a2^lowers>`` (mirror of mode 1)."""
     if daggers < 0 or lowers < 0:
         raise ValueError("exponents must be non-negative")
     return _series(state, "mode2", (daggers, lowers))
 
 
-def cross_moment(state: FixedTotalState, spec: MomentSpec) -> complex:
+def cross_moment(state, spec: MomentSpec):
     """Exact closed form for a number-conserving moment on a fixed-total state.
 
     With d = k - j = r - s the operator maps basis index n to n - d, so the
@@ -198,19 +246,21 @@ def cross_moment(state: FixedTotalState, spec: MomentSpec) -> complex:
     specs return exactly 0 (orthogonal total-photon sectors).
     """
     if not spec.conserving:
-        return 0.0 + 0.0j
+        return _zero(state)
     return _series(state, "cross", (spec.j, spec.k, spec.r, spec.s))
 
 
-def literal_moment(state: FixedTotalState, spec: MomentSpec) -> complex:
+def literal_moment(state, spec: MomentSpec):
     """Literal-engine value of an arbitrary moment on a fixed-total state.
 
     Pure single-mode specs use the closed-form series of their mode; mixed
     number-conserving specs use the exact joint closed form; mixed
     number-changing specs factorize into the product of the two single-mode
     series (the only nonzero value the series machinery can assign them).
+    A :class:`MomentBatch` in place of the state gives a list of one value
+    per row, each the value of that row's state.
     """
-    if not isinstance(state, FixedTotalState):
+    if not isinstance(state, (FixedTotalState, MomentBatch)):
         raise TypeError("the literal engine requires a fixed-total state")
     pure1 = spec.r == 0 and spec.s == 0
     pure2 = spec.j == 0 and spec.k == 0
@@ -220,7 +270,12 @@ def literal_moment(state: FixedTotalState, spec: MomentSpec) -> complex:
         return mode2_moment(state, spec.r, spec.s)
     if spec.conserving:
         return cross_moment(state, spec)
-    return mode1_moment(state, spec.j, spec.k) * mode2_moment(state, spec.r, spec.s)
+    first = mode1_moment(state, spec.j, spec.k)
+    second = mode2_moment(state, spec.r, spec.s)
+    if isinstance(state, MomentBatch):
+        # scalar products, row by row, as the states alone multiply them
+        return [a * b for a, b in zip(first, second)]
+    return first * second
 
 
 def expectation(state, spec: MomentSpec, engine: Engine) -> complex:

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import FixedTotalState, MomentSpec
+from . import moments
 from .moments import Engine, compare_engines
 from .states import (
     InvalidParams,
@@ -245,24 +246,79 @@ def _build_state(family: str, total: int, p: float, q: float):
     raise ConfigError(f"unknown state family {family!r}")
 
 
-def _grid_point(cache: dict, family: str, total: int, p: float, q: float):
-    """The state of one grid point and its moment tables, built once per cache.
+class _LiteralSlice:
+    """Literal moment columns of the fixed-total states of one grid slice.
 
-    ``cache`` maps ``(family, M, p, q)`` to ``(state, {engine: table})``, with
-    ``state`` None when the point fails state-family validation.  A caller
-    that passes one cache to several sweeps builds each distinct state once
-    and computes each of its moments once per engine.  (``ngbs`` gives the
-    same state for q = 0.0 and -0.0, which share a key.)
+    Each spec is computed once for the whole slice, by one call of
+    :func:`twomode.moments.literal_moment` on a :class:`MomentBatch` of its
+    states (looked up at call time, so that a wrapper sees the call); row i
+    of a column is the value state i gives alone.
     """
-    key = (family, total, p, q)
-    point = cache.get(key)
-    if point is None:
-        try:
-            state = _build_state(family, total, p, q)
-        except (InvalidParams, NormalizationAnomaly):
-            state = None
-        point = cache[key] = (state, {})
-    return point
+
+    def __init__(self, states):
+        self._states = states
+        self._batch = None
+        self._columns = {}
+
+    def column(self, spec: MomentSpec) -> list:
+        column = self._columns.get(spec)
+        if column is None:
+            if self._batch is None:
+                self._batch = moments.MomentBatch.stack(self._states)
+            column = self._columns[spec] = moments.literal_moment(self._batch, spec)
+        return column
+
+
+class _SliceRow:
+    """One state's literal moment table: row ``index`` of its slice's columns.
+
+    It answers the ``get`` lookup that :func:`~twomode.witnesses.evaluate`
+    and :func:`~twomode.moments.compare_engines` make on a table, and never
+    misses: a spec the slice does not hold yet is computed for the whole
+    slice, inside the call that asked for it.  The slice holds no reference
+    to its rows, so no reference cycle keeps a dropped slice alive.
+    """
+
+    __slots__ = ("_slice", "_index")
+
+    def __init__(self, literal_slice: _LiteralSlice, index: int):
+        self._slice = literal_slice
+        self._index = index
+
+    def get(self, spec: MomentSpec):
+        return self._slice.column(spec)[self._index]
+
+
+def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple):
+    """The states of one (family, M, q) slice of a p grid and their moment
+    tables, built once per cache.
+
+    ``cache`` maps ``(family, M, q, p_values)`` to one ``(p, state, {engine:
+    table})`` per p, with ``state`` None when the point fails state-family
+    validation.  The literal tables of a slice's fixed-total states are
+    rows of one :class:`_LiteralSlice`; other engines get their tables on
+    first use.  A caller that passes one cache to several sweeps builds
+    each distinct state once and computes each of its moments once per
+    engine.  (``ngbs`` gives the same state for q = 0.0 and -0.0, which
+    share a key.)
+    """
+    key = (family, total, q, p_values)
+    points = cache.get(key)
+    if points is None:
+        states = []
+        for p in p_values:
+            try:
+                states.append(_build_state(family, total, p, q))
+            except (InvalidParams, NormalizationAnomaly):
+                states.append(None)
+        fixed = [state for state in states if isinstance(state, FixedTotalState)]
+        literal = _LiteralSlice(fixed)
+        rows = (_SliceRow(literal, index) for index in range(len(fixed)))
+        points = cache[key] = [
+            (p, state, {Engine.LITERAL: next(rows)} if isinstance(state, FixedTotalState) else {})
+            for p, state in zip(p_values, states)
+        ]
+    return points
 
 
 def compute_rows(config: SweepConfig) -> list[SweepRow]:
@@ -272,22 +328,23 @@ def compute_rows(config: SweepConfig) -> list[SweepRow]:
     engine).  Parameter points that fail state-family validation yield
     status ``invalid_params`` rows rather than aborting the sweep.  Each
     (state, engine) pair keeps one moment table, so every distinct moment
-    is computed once for all the witnesses of a grid point.
+    is computed once for all the witnesses of a grid point; the literal
+    engine computes it once for all the states of a q slice, in one batch.
     """
     return _compute_rows(config, {})
 
 
 def _compute_rows(config: SweepConfig, cache: dict) -> list[SweepRow]:
     """:func:`compute_rows` with states and moment tables from ``cache``
-    (see :func:`_grid_point`)."""
+    (see :func:`_grid_slice`)."""
     config.validate()
     witnesses = sorted(config.witnesses, key=lambda w: w.label())
     engines = sorted(config.engines, key=lambda e: e.value)
+    p_values = tuple(float(p) for p in config.p_values())
     rows: list[SweepRow] = []
     for q in sorted(config.q_list):
-        for p in config.p_values():
-            p = float(p)
-            state, tables = _grid_point(cache, config.state_family, config.total, p, q)
+        for p, state, tables in _grid_slice(
+                cache, config.state_family, config.total, q, p_values):
             for witness in witnesses:
                 for engine in engines:
                     value = nonclassical = None
@@ -474,7 +531,7 @@ def _discrepancy_rows(panels, cache: dict):
     """Yield the discrepancy report's records, ready for ``csv.writer``.
 
     One record per (panel, valid grid point, mode, moment), with states and
-    moment tables from ``cache`` (see :func:`_grid_point`).  ``p`` and ``q``
+    moment tables from ``cache`` (see :func:`_grid_slice`).  ``p`` and ``q``
     come as their ``repr``, made once per grid point; the other floats are
     Python floats, which the csv module writes as their ``repr``; the flag is
     written ``true``/``false``: the cells :func:`_cell` would give.
@@ -485,15 +542,14 @@ def _discrepancy_rows(panels, cache: dict):
             (1, [MomentSpec(d, low, 0, 0) for d, low in orders]),
             (2, [MomentSpec(0, 0, d, low) for d, low in orders]),
         )
+        p_values = tuple(float(p) for p in config.p_values())
         for q in sorted(config.q_list):
             q_cell = repr(q)
-            for p in config.p_values():
-                p = float(p)
+            for p, state, tables in _grid_slice(cache, "ngbs", config.total, q, p_values):
                 params = NGBSParams(config.total, p, q)
                 if not params.is_valid():
                     continue
                 p_cell = repr(p)
-                state, tables = _grid_point(cache, "ngbs", config.total, p, q)
                 if state is None:
                     # a valid point whose state failed to build (a
                     # NormalizationAnomaly) stops the report, as it always has
@@ -597,23 +653,25 @@ def table1_report(
     :class:`ConfigError` when no grid point is valid (for example an empty
     q or M list), since every row would then read "No" on no evidence.
     """
-    start, end, steps = p_grid
-    p_values = np.linspace(start, end, steps)
+    p_values = np.linspace(*p_grid).tolist()
     present = [False] * len(_TABLE_ROWS)
     minimum = [math.inf] * len(_TABLE_ROWS)
     valid_points = 0
-    # one state and one moment table serve every row; each row's values
-    # reach min() in (M, q, p, witness) order, which decides between 0.0 and
-    # -0.0
+    # each row's values reach min() in (M, q, p, witness) order, which
+    # decides between 0.0 and -0.0
     for total in m_values:
+        total = int(total)
         for q in q_values:
-            for p in p_values:
-                params = NGBSParams(int(total), float(p), float(q))
-                if not params.is_valid():
-                    continue
+            q = float(q)
+            valid = tuple(p for p in p_values if NGBSParams(total, p, q).is_valid())
+            # one slice at a time: its states and tables go when it is done
+            for p, state, tables in _grid_slice({}, "ngbs", total, q, valid):
                 valid_points += 1
-                state = ngbs(params)
-                table = {}
+                if state is None:
+                    # a valid point whose state failed to build (a
+                    # NormalizationAnomaly) stops the table, as it always has
+                    state = ngbs(NGBSParams(total, p, q))
+                table = tables.setdefault(engine, {})
                 for index, (_, witnesses, _) in enumerate(_TABLE_ROWS):
                     for witness in witnesses:
                         res = evaluate(state, witness, engine, table)

@@ -293,6 +293,9 @@ def evaluate(
     others are read back.  Pass the same dict for every witness of one state
     and engine to compute each distinct moment once; never share it between
     states or engines.  Without a table the moments are computed afresh.
+    Any object whose ``get(spec)`` returns the value or None serves as a
+    table; the sweeps' literal tables compute a missing spec for a whole
+    slice of states in their ``get`` and so never miss.
     """
     engine = _resolve_engine(state, engine)
     if table is None:

@@ -13,12 +13,20 @@ the six standard q values, the 99-point p grid, every witness, both engines;
 15,444 rows) as ``twomode sweep`` wrote it before the oracle answered
 number-changing moments of fixed-total states from the selection rule.  It
 is the only gate on the ``epr``, ``su11`` and ``cs`` witnesses and on
-``--engine both`` through the CSV writer."""
+``--engine both`` through the CSV writer.
 
+The benchmark's comparison reads ``-0.0`` and ``0.0`` as equal, but their
+bytes differ, and the sign of a zero decides what ``min()`` keeps in
+``table1``.  So the figure CSVs and the sweep must also match the reference
+as text in every value cell that reads zero on either side."""
+
+import csv
 import gzip
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from twomode.cli import main
 from twomode.sweep import reproduce_figures, table1_report
@@ -38,9 +46,32 @@ check = _load("check")
 WORKLOADS = _load("workloads").WORKLOADS
 
 
+def _is_zero(cell: str) -> bool:
+    try:
+        return float(cell) == 0.0
+    except ValueError:
+        return False
+
+
+def assert_zero_cells_match(actual: str, reference: str, label: str) -> None:
+    """Every value cell that reads zero on either side matches as text."""
+    got = list(csv.reader(actual.splitlines()))
+    want = list(csv.reader(reference.splitlines()))
+    header = want[0]
+    columns = [i for i, name in enumerate(header) if name in check.VALUE_COLUMNS]
+    for line, (row, ref) in enumerate(zip(got, want), start=1):
+        for i in columns:
+            if _is_zero(row[i]) or _is_zero(ref[i]):
+                assert row[i] == ref[i], f"{label}:{line}: {header[i]}={row[i]} vs {ref[i]}"
+
+
 def test_figures_match_reference(tmp_path):
     reproduce_figures(tmp_path)
-    check.check_outputs(WORKLOADS["figures"], tmp_path, stdout="")
+    workload = WORKLOADS["figures"]
+    check.check_outputs(workload, tmp_path, stdout="")
+    for name in workload.csv_files:
+        assert_zero_cells_match((tmp_path / name).read_text(),
+                                check.read_reference("figures", name), name)
 
 
 def test_table1_stdout_matches_reference(tmp_path, capsys):
@@ -72,4 +103,17 @@ def test_standard_sweep_matches_golden(tmp_path):
     assert main([*STANDARD_SWEEP, "--out", str(tmp_path)]) == 0
     with gzip.open(GOLDEN / "sweep_standard.csv.gz", "rt", newline="") as handle:
         reference = handle.read()
-    check.compare_csv_text((tmp_path / "sweep.csv").read_text(), reference, "sweep_standard")
+    actual = (tmp_path / "sweep.csv").read_text()
+    check.compare_csv_text(actual, reference, "sweep_standard")
+    assert_zero_cells_match(actual, reference, "sweep_standard")
+
+
+def test_zero_cells_must_match_in_sign():
+    reference = "value,status\n0.0,ok\n-0.0,ok\n1.5,ok\n"
+    assert_zero_cells_match(reference, reference, "same")
+    for flipped in ("value,status\n-0.0,ok\n-0.0,ok\n1.5,ok\n",
+                    "value,status\n0.0,ok\n0.0,ok\n1.5,ok\n"):
+        # the benchmark's comparison lets the flip through; this gate does not
+        assert check.compare_csv_text(flipped, reference, "flipped") == 0.0
+        with pytest.raises(AssertionError):
+            assert_zero_cells_match(flipped, reference, "flipped")

@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 from twomode import (
     Engine,
     FixedTotalState,
+    MomentBatch,
     MomentSpec,
     NGBSParams,
     binomial_state,
@@ -22,6 +23,7 @@ from twomode import (
 from twomode.fock import log_factorial
 from twomode.moments import mode1_sum_empty, mode2_sum_empty
 from twomode.sweep import STANDARD_Q
+from twomode.witnesses import DEFAULT_THETAS, Witness
 
 from conftest import random_fixed_total
 
@@ -241,6 +243,103 @@ def test_literal_moment_requires_fixed_total():
 
     with pytest.raises(TypeError):
         literal_moment(fock_pair(1, 1), MomentSpec(1, 1, 0, 0))
+
+
+# --- the batched literal kernel ------------------------------------------------
+
+# every witness the sweeps and table1 evaluate, for the specs they need
+_ALL_WITNESSES = (
+    *(Witness("hoa", l=l, m=m) for l, m in ((1, 1), (2, 2), (5, 1), (9, 1))),
+    Witness("quadx"), Witness("quady"), *(Witness("sum", theta=t) for t in DEFAULT_THETAS),
+    Witness("sv"), Witness("epr", form="literal"), Witness("su11"), Witness("cs"),
+)
+
+
+def _batch_specs(total):
+    """Specs of every kind ``literal_moment`` dispatches on, at total M."""
+    specs = {spec for witness in _ALL_WITNESSES for spec in witness.specs}
+    specs.update((
+        MomentSpec(0, 1, 0, 0), MomentSpec(3, 1, 0, 0), MomentSpec(2, 2, 0, 0),  # mode 1
+        MomentSpec(0, 0, 1, 0), MomentSpec(0, 0, 1, 3), MomentSpec(0, 0, 4, 4),  # mode 2
+        MomentSpec(total + 1, 0, 0, 0), MomentSpec(0, total + 1, 0, 0),  # empty plans
+        MomentSpec(0, 0, 0, total + 2), MomentSpec(0, total + 1, total + 1, 0),
+        MomentSpec(2, 1, 0, 1), MomentSpec(1, 3, 2, 0),  # conserving cross
+        MomentSpec(1, 0, 1, 0), MomentSpec(0, 2, 0, 1),  # number-changing products
+        MomentSpec(0, total + 1, 0, 1), MomentSpec(0, 1, 0, total + 1),  # with an empty factor
+    ))
+    return sorted(specs, key=lambda spec: (spec.j, spec.k, spec.r, spec.s))
+
+
+def _assert_rows_equal_states(states, specs):
+    batch = MomentBatch.stack(states)
+    assert batch.amplitudes.shape == (len(states), states[0].total + 1)
+    for spec in specs:
+        column = literal_moment(batch, spec)
+        assert isinstance(column, list) and len(column) == len(states)
+        for state, value in zip(states, column):
+            alone = literal_moment(state, spec)
+            # repr tells the sign of a zero in either part
+            assert (type(value), repr(value)) == (type(alone), repr(alone)), (spec, state)
+
+
+def _signed_zero_states(rng, total, rows, complex_amps):
+    """Random fixed-total states with some parts set to +0.0 or -0.0."""
+    states = []
+    for _ in range(rows):
+        vec = rng.standard_normal(total + 1)
+        if complex_amps:
+            vec = vec + 1j * rng.standard_normal(total + 1)
+        zeros = rng.random(total + 1) < 0.3
+        zeros[rng.integers(total + 1)] = False  # keep one amplitude nonzero
+        sign = np.where(rng.random(total + 1) < 0.5, -0.0, 0.0)
+        if complex_amps:
+            vec.real[zeros] = sign[zeros]
+            vec.imag[rng.random(total + 1) < 0.3] = -0.0
+        else:
+            vec[zeros] = sign[zeros]
+        states.append(FixedTotalState(total, vec / np.linalg.norm(vec)))
+    return states
+
+
+@given(
+    total=st.one_of(st.integers(0, 24), st.sampled_from((100, 400))),
+    rows=st.integers(1, 5),
+    complex_amps=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_rows_equal_single_state_calls(total, rows, complex_amps, seed):
+    states = _signed_zero_states(np.random.default_rng(seed), total, rows, complex_amps)
+    _assert_rows_equal_states(states, _batch_specs(total))
+
+
+@pytest.mark.parametrize("total", [10, 20, 100, 400])
+def test_batch_rows_equal_single_state_calls_on_ngbs_slices(total):
+    # one batch per (M, q) slice of a p grid, as the sweeps stack them
+    for q in STANDARD_Q:
+        states = [ngbs(NGBSParams(total, p, q)) for p in np.linspace(0.01, 0.99, 25)
+                  if NGBSParams(total, p, q).is_valid()]
+        if states:
+            _assert_rows_equal_states(states, _batch_specs(total))
+
+
+@pytest.mark.parametrize("total", [0, 1, 7, 24, 100, 400])
+def test_batch_rows_equal_single_state_calls_on_complex_states(rng, total):
+    _assert_rows_equal_states(_signed_zero_states(rng, total, 6, True), _batch_specs(total))
+
+
+def test_batch_empty_plans_give_python_zero():
+    batch = MomentBatch.stack([binomial_state(2, 0.5), binomial_state(2, 0.25)])
+    for column in (literal_moment(batch, MomentSpec(3, 3, 0, 0)),
+                   literal_moment(batch, MomentSpec(0, 0, 0, 3)),
+                   cross_moment(batch, MomentSpec(0, 1, 0, 1))):
+        assert [(type(v), repr(v)) for v in column] == [(complex, "0j")] * 2
+
+
+def test_batch_stack_rejects_mixed_totals():
+    with pytest.raises(ValueError):
+        MomentBatch.stack([binomial_state(2, 0.5), binomial_state(3, 0.5)])
+    with pytest.raises(ValueError):
+        MomentBatch.stack([])
 
 
 def test_expectation_engine_switch():

@@ -1,16 +1,20 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from twomode.cli import main
 from twomode.fock import MomentSpec
-from twomode.moments import Engine
+from twomode.moments import Engine, MomentBatch
 from twomode.states import NGBSParams
 from twomode.svgplot import render_line_chart
 from twomode.sweep import (
     CSV_HEADER,
     DISCREPANCY_HEADER,
+    STANDARD_M,
+    STANDARD_P_GRID,
+    STANDARD_Q,
     ConfigError,
     SweepConfig,
     _panel_moment_orders,
@@ -354,29 +358,38 @@ def test_each_moment_is_computed_once_per_state_and_engine(monkeypatch, tmp_path
     assert max(calls.values()) == 1
 
 
-def test_figures_build_each_state_and_moment_once(monkeypatch, tmp_path):
+def _count_moment_calls(monkeypatch):
+    """Wrap ``sweep.ngbs`` and both moment engines with counters.
+
+    Returns ``(builds, calls, kinds)``: builds per grid point (M, p, q);
+    computations per (point, spec, engine function), a batch call counting
+    once for each of its rows' states; and calls per (engine function,
+    whether it got a batch).
+    """
     import twomode.moments as moments
     import twomode.sweep as sweep
 
     builds = Counter()
     calls = Counter()
-    points = {}  # id(state) -> (M, p, q)
-    states = []  # held so that no id is reused while the test counts
+    kinds = Counter()
+    points = {}  # (M, amplitude bytes) -> (M, p, q)
     build = sweep.ngbs
 
     def counted_build(params):
         point = (params.total, params.p, params.q)
         builds[point] += 1
         state = build(params)
-        states.append(state)
-        points[id(state)] = point
+        points[(state.total, state.amplitudes.tobytes())] = point
         return state
 
     def counting(name):
         compute = getattr(moments, name)
 
         def counted(state, spec):
-            calls[(points[id(state)], spec, name)] += 1
+            batched = isinstance(state, MomentBatch)
+            kinds[(name, batched)] += 1
+            for row in state.amplitudes if batched else [state.amplitudes]:
+                calls[(points[(state.total, row.tobytes())], spec, name)] += 1
             return compute(state, spec)
 
         return counted
@@ -384,6 +397,11 @@ def test_figures_build_each_state_and_moment_once(monkeypatch, tmp_path):
     monkeypatch.setattr(sweep, "ngbs", counted_build)
     for name in ("literal_moment", "moment_oracle"):
         monkeypatch.setattr(moments, name, counting(name))
+    return builds, calls, kinds
+
+
+def test_figures_build_each_state_and_moment_once(monkeypatch, tmp_path):
+    builds, calls, kinds = _count_moment_calls(monkeypatch)
 
     reproduce_figures(tmp_path)
 
@@ -410,6 +428,31 @@ def test_figures_build_each_state_and_moment_once(monkeypatch, tmp_path):
     assert builds == Counter(dict.fromkeys(grid_points, 1))
     assert set(calls) == needed
     assert max(calls.values()) == 1
+    # the literal engine runs one batch per (M, q) slice and spec, the oracle
+    # one state at a time
+    literal_slices = {(M, q, spec) for (M, _, q), spec, name in needed
+                      if name == "literal_moment"}
+    assert kinds == Counter({
+        ("literal_moment", True): len(literal_slices),
+        ("moment_oracle", False): len([key for key in needed if key[2] == "moment_oracle"]),
+    })
+
+
+def test_table1_computes_each_literal_moment_once_per_slice(monkeypatch):
+    builds, calls, kinds = _count_moment_calls(monkeypatch)
+
+    rows = table1_report()
+
+    specs = {spec for row in rows for witness in row.witnesses for spec in witness.specs}
+    valid = [(M, float(p), q) for M in STANDARD_M for q in STANDARD_Q
+             for p in np.linspace(*STANDARD_P_GRID) if NGBSParams(M, float(p), q).is_valid()]
+    assert len(specs) == 26 and len(valid) == 1106
+    # invalid points are skipped before they are built
+    assert builds == Counter(dict.fromkeys(valid, 1))
+    assert set(calls) == {(point, spec, "literal_moment") for point in valid for spec in specs}
+    assert max(calls.values()) == 1
+    # one batch call per (M, q, spec): 2 M x 6 q x 26 specs
+    assert kinds == Counter({("literal_moment", True): 312})
 
 
 # --- CLI -----------------------------------------------------------------------------
