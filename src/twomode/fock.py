@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CutoffOverflow",
     "FixedTotalState",
     "MomentSpec",
     "TwoModeState",
@@ -47,10 +46,6 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-10
-
-
-class CutoffOverflow(Exception):
-    """Creation would push nonzero amplitude past a fixed cutoff."""
 
 
 def log_factorial(n: int) -> float:
@@ -93,10 +88,6 @@ class TwoModeState:
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero grid")
         return cls(amps / nrm)
-
-    @property
-    def cutoffs(self) -> tuple[int, int]:
-        return self.amps.shape[0] - 1, self.amps.shape[1] - 1
 
     @property
     def norm(self) -> float:
@@ -190,12 +181,12 @@ def apply_ladder(
     state: TwoModeState,
     mode: int,
     kind: str,
-    extend: bool = True,
 ) -> TwoModeState:
     """Apply a single creation or annihilation operator to one mode.
 
     Standard actions ``a|n> = sqrt(n)|n-1>`` and ``a^dag|n> = sqrt(n+1)|n+1>``
-    applied entrywise to the grid.  The result is unnormalized.
+    applied entrywise to the grid; creation grows the grid by one row or
+    column, so no amplitude is lost.  The result is unnormalized.
 
     Parameters
     ----------
@@ -203,10 +194,6 @@ def apply_ladder(
         1 or 2.
     kind : str
         ``"create"`` or ``"annihilate"``.
-    extend : bool
-        With ``create``, grow the grid by one row/column (default).  When
-        False the cutoff is fixed and nonzero amplitude at the boundary
-        raises :class:`CutoffOverflow`.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
@@ -224,18 +211,9 @@ def apply_ladder(
             weights = np.sqrt(np.arange(1, n_max + 1, dtype=float))
             out[:-1, :] = grid[1:, :] * weights[:, None]
     else:
-        if extend:
-            out = np.zeros((n_max + 2, grid.shape[1]), dtype=complex)
-            weights = np.sqrt(np.arange(1, n_max + 2, dtype=float))
-            out[1:, :] = grid * weights[:, None]
-        else:
-            if np.any(grid[-1, :] != 0):
-                raise CutoffOverflow(
-                    f"creation on mode {mode} exceeds fixed cutoff {n_max}"
-                )
-            out = np.zeros_like(grid)
-            weights = np.sqrt(np.arange(1, n_max + 1, dtype=float))
-            out[1:, :] = grid[:-1, :] * weights[:, None]
+        out = np.zeros((n_max + 2, grid.shape[1]), dtype=complex)
+        weights = np.sqrt(np.arange(1, n_max + 2, dtype=float))
+        out[1:, :] = grid * weights[:, None]
 
     if axis == 1:
         out = out.T

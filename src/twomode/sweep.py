@@ -36,7 +36,7 @@ from .states import (
     ngbs,
 )
 from .svgplot import render_line_chart
-from .witnesses import DEFAULT_THETAS, Witness, evaluate
+from .witnesses import DEFAULT_THETAS, Witness, evaluate, reduce_columns
 
 __all__ = [
     "CSV_HEADER",
@@ -51,7 +51,6 @@ __all__ = [
     "parse_list",
     "parse_p_grid",
     "parse_witness_field",
-    "read_rows_csv",
     "reproduce_figures",
     "run_sweep",
     "table1_report",
@@ -131,11 +130,8 @@ class SweepRow(NamedTuple):
     status: str
 
     def witness_label(self) -> str:
-        return _witness_from_row(self).label()
-
-
-def _witness_from_row(row: SweepRow) -> Witness:
-    return Witness(row.witness_kind, l=row.l, m=row.m, theta=row.theta, form=row.form)
+        return Witness(self.witness_kind, l=self.l, m=self.m, theta=self.theta,
+                       form=self.form).label()
 
 
 def parse_engines(text: str) -> tuple[Engine, ...]:
@@ -247,18 +243,19 @@ def _build_state(family: str, total: int, p: float, q: float):
 
 
 class _LiteralSlice:
-    """Literal moment columns of the fixed-total states of one grid slice.
-
-    Each spec is computed once for the whole slice, by one call of
-    :func:`twomode.moments.literal_moment` on a :class:`MomentBatch` of its
-    states (looked up at call time, so that a wrapper sees the call); row i
-    of a column is the value state i gives alone.
+    """Literal moment columns and witness results of the fixed-total states
+    of one grid slice, each computed once for the slice: a column by one
+    :func:`twomode.moments.literal_moment` call on a :class:`MomentBatch` of
+    the states (looked up at call time, so that a wrapper sees it), results
+    by one :func:`~twomode.witnesses.reduce_columns`.  Row i is what state i
+    gives alone.
     """
 
     def __init__(self, states):
         self._states = states
         self._batch = None
         self._columns = {}
+        self._results = {}
 
     def column(self, spec: MomentSpec) -> list:
         column = self._columns.get(spec)
@@ -268,25 +265,28 @@ class _LiteralSlice:
             column = self._columns[spec] = moments.literal_moment(self._batch, spec)
         return column
 
+    def results(self, witness: Witness) -> list:
+        results = self._results.get(witness)
+        if results is None:
+            results = self._results[witness] = reduce_columns(
+                witness, [self.column(spec) for spec in witness.specs])
+        return results
 
-class _SliceRow:
-    """One state's literal moment table: row ``index`` of its slice's columns.
 
-    It answers the ``get`` lookup that :func:`~twomode.witnesses.evaluate`
-    and :func:`~twomode.moments.compare_engines` make on a table, and never
-    misses: a spec the slice does not hold yet is computed for the whole
-    slice, inside the call that asked for it.  The slice holds no reference
-    to its rows, so no reference cycle keeps a dropped slice alive.
-    """
+class _SliceRow(NamedTuple):
+    """One state's literal moment table, a row of its slice, which computes
+    what the ``get`` of :func:`~twomode.moments.compare_engines` or the
+    ``result`` of :func:`~twomode.witnesses.evaluate` misses, inside that
+    call.  The slice holds no reference to its rows: no reference cycle."""
 
-    __slots__ = ("_slice", "_index")
-
-    def __init__(self, literal_slice: _LiteralSlice, index: int):
-        self._slice = literal_slice
-        self._index = index
+    literal_slice: _LiteralSlice
+    row: int
 
     def get(self, spec: MomentSpec):
-        return self._slice.column(spec)[self._index]
+        return self.literal_slice.column(spec)[self.row]
+
+    def result(self, witness: Witness):
+        return self.literal_slice.results(witness)[self.row]
 
 
 def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple):
@@ -385,35 +385,6 @@ def write_rows_csv(rows, path: Path) -> None:
                 _cell(row.form), row.engine, _cell(row.value),
                 _cell(row.nonclassical), row.status,
             ])
-
-
-def read_rows_csv(path: Path) -> list[SweepRow]:
-    """Parse a sweep CSV back into rows (exact field round-trip)."""
-    rows = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header}")
-        for rec in reader:
-            (family, m_tot, p, q, kind, l, m, theta, form,
-             engine, value, nonclassical, status) = rec
-            rows.append(SweepRow(
-                state_family=family,
-                total=int(m_tot),
-                p=float(p),
-                q=float(q),
-                witness_kind=kind,
-                l=int(l) if l else None,
-                m=int(m) if m else None,
-                theta=float(theta) if theta else None,
-                form=form or None,
-                engine=engine,
-                value=float(value) if value else None,
-                nonclassical={"true": True, "false": False}.get(nonclassical),
-                status=status,
-            ))
-    return rows
 
 
 def _safe_stem(label: str) -> str:

@@ -35,3 +35,24 @@ def random_grid_state(rng, n1: int, n2: int):
 
     grid = rng.standard_normal((n1 + 1, n2 + 1)) + 1j * rng.standard_normal((n1 + 1, n2 + 1))
     return TwoModeState(grid / np.linalg.norm(grid))
+
+
+def signed_zero_states(rng, total, rows, complex_amps):
+    """Random fixed-total states with some parts set to +0.0 or -0.0."""
+    from twomode import FixedTotalState
+
+    states = []
+    for _ in range(rows):
+        vec = rng.standard_normal(total + 1)
+        if complex_amps:
+            vec = vec + 1j * rng.standard_normal(total + 1)
+        zeros = rng.random(total + 1) < 0.3
+        zeros[rng.integers(total + 1)] = False  # keep one amplitude nonzero
+        sign = np.where(rng.random(total + 1) < 0.5, -0.0, 0.0)
+        if complex_amps:
+            vec.real[zeros] = sign[zeros]
+            vec.imag[rng.random(total + 1) < 0.3] = -0.0
+        else:
+            vec[zeros] = sign[zeros]
+        states.append(FixedTotalState(total, vec / np.linalg.norm(vec)))
+    return states

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 import twomode.fock as fock
 import twomode.moments as moments
 from twomode import (
-    CutoffOverflow,
     FixedTotalState,
     MomentSpec,
     NGBSParams,
@@ -60,19 +59,6 @@ def test_annihilate_two_photons():
     out = apply_ladder(fock_pair(2, 0), 1, "annihilate")
     assert np.isclose(out.amps[1, 0], math.sqrt(2))
     assert np.count_nonzero(out.amps) == 1
-
-
-def test_create_fixed_cutoff_overflow():
-    with pytest.raises(CutoffOverflow):
-        apply_ladder(fock_pair(1, 0), 1, "create", extend=False)
-
-
-def test_create_fixed_cutoff_ok_below_boundary():
-    grid = np.zeros((3, 1), dtype=complex)
-    grid[0, 0] = 1.0
-    out = apply_ladder(TwoModeState(grid), 1, "create", extend=False)
-    assert out.amps.shape == (3, 1)
-    assert out.amps[1, 0] == 1.0
 
 
 def test_apply_ladder_argument_validation():

@@ -25,7 +25,7 @@ from twomode.moments import mode1_sum_empty, mode2_sum_empty
 from twomode.sweep import STANDARD_Q
 from twomode.witnesses import DEFAULT_THETAS, Witness
 
-from conftest import random_fixed_total
+from conftest import random_fixed_total, signed_zero_states
 
 
 def one_photon_mode1():
@@ -282,25 +282,6 @@ def _assert_rows_equal_states(states, specs):
             assert (type(value), repr(value)) == (type(alone), repr(alone)), (spec, state)
 
 
-def _signed_zero_states(rng, total, rows, complex_amps):
-    """Random fixed-total states with some parts set to +0.0 or -0.0."""
-    states = []
-    for _ in range(rows):
-        vec = rng.standard_normal(total + 1)
-        if complex_amps:
-            vec = vec + 1j * rng.standard_normal(total + 1)
-        zeros = rng.random(total + 1) < 0.3
-        zeros[rng.integers(total + 1)] = False  # keep one amplitude nonzero
-        sign = np.where(rng.random(total + 1) < 0.5, -0.0, 0.0)
-        if complex_amps:
-            vec.real[zeros] = sign[zeros]
-            vec.imag[rng.random(total + 1) < 0.3] = -0.0
-        else:
-            vec[zeros] = sign[zeros]
-        states.append(FixedTotalState(total, vec / np.linalg.norm(vec)))
-    return states
-
-
 @given(
     total=st.one_of(st.integers(0, 24), st.sampled_from((100, 400))),
     rows=st.integers(1, 5),
@@ -308,7 +289,7 @@ def _signed_zero_states(rng, total, rows, complex_amps):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batch_rows_equal_single_state_calls(total, rows, complex_amps, seed):
-    states = _signed_zero_states(np.random.default_rng(seed), total, rows, complex_amps)
+    states = signed_zero_states(np.random.default_rng(seed), total, rows, complex_amps)
     _assert_rows_equal_states(states, _batch_specs(total))
 
 
@@ -324,7 +305,7 @@ def test_batch_rows_equal_single_state_calls_on_ngbs_slices(total):
 
 @pytest.mark.parametrize("total", [0, 1, 7, 24, 100, 400])
 def test_batch_rows_equal_single_state_calls_on_complex_states(rng, total):
-    _assert_rows_equal_states(_signed_zero_states(rng, total, 6, True), _batch_specs(total))
+    _assert_rows_equal_states(signed_zero_states(rng, total, 6, True), _batch_specs(total))
 
 
 def test_batch_empty_plans_give_python_zero():

@@ -52,10 +52,13 @@ def test_traced_table1_records_its_required_spans(tmp_path):
     proc = _run(PERFBENCH / "trace_child.py", "--require", ",".join(required),
                 "--json", out, "--", "table1", "--M", "10", "--q", "-0.01,0")
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(out.read_text())["calls"]
+    summary = json.loads(out.read_text())
     valid = sum(NGBSParams(10, float(p), q).is_valid()
                 for q in (-0.01, 0.0) for p in np.linspace(*STANDARD_P_GRID))
     # each valid state built once, 13 witnesses each, and one literal batch
     # per (q, spec): 2 q x 26 specs
-    assert calls == {workloads.NGBS: valid, workloads.EVALUATE: 13 * valid,
-                     workloads.LITERAL: 52}
+    assert summary["calls"] == {workloads.NGBS: valid, workloads.EVALUATE: 13 * valid,
+                                workloads.LITERAL: 52}
+    # the guard metric reads the results of the per-state evaluate calls on
+    # the q = 0 slice; it reads 0 if table1 gets its results some other way
+    assert summary["witnesses.guard_use_q0"] > 0.0

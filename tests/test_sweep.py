@@ -1,3 +1,4 @@
+import csv
 import math
 from collections import Counter
 
@@ -22,7 +23,6 @@ from twomode.sweep import (
     figure_panels,
     format_table1,
     load_config,
-    read_rows_csv,
     reproduce_figures,
     run_sweep,
     table1_report,
@@ -44,6 +44,14 @@ def small_config(tmp_path, **overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+def read_csv(path):
+    """The records of a sweep CSV, as dicts of cell text keyed by its header."""
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        assert tuple(reader.fieldnames) == CSV_HEADER
+        return list(reader)
 
 
 # --- config validation -----------------------------------------------------------
@@ -205,7 +213,17 @@ def test_csv_round_trip_exact(tmp_path):
     rows = compute_rows(small_config(tmp_path))
     path = tmp_path / "rows.csv"
     write_rows_csv(rows, path)
-    assert read_rows_csv(path) == rows
+    records = read_csv(path)
+    assert len(records) == len(rows)
+    parse = {"M": int, "p": float, "q": float, "l": int, "m": int, "theta": float,
+             "value": float, "nonclassical": {"true": True, "false": False}.__getitem__}
+    for row, record in zip(rows, records):
+        # SweepRow's fields come in the order of the CSV columns; repr tells
+        # the sign of a zero
+        for name, want in zip(CSV_HEADER, row):
+            cell = record[name]
+            got = None if cell == "" else parse.get(name, str)(cell)
+            assert (type(got), repr(got)) == (type(want), repr(want)), (name, row)
 
 
 def test_csv_header_contract(tmp_path):
@@ -262,20 +280,21 @@ def test_figures_emit_all_panels(figure_dir):
 
 
 def test_fig2a_covers_the_order_set(figure_dir):
-    rows = read_rows_csv(figure_dir / "fig2a.csv")
-    assert {(r.l, r.m) for r in rows} == {(2, 2), (5, 1), (9, 1)}
-    assert {r.q for r in rows} == {-0.01}
-    assert {r.total for r in rows} == {10}
-    assert {r.engine for r in rows} == {"oracle"}
-    assert len({r.p for r in rows}) == 99
+    rows = read_csv(figure_dir / "fig2a.csv")
+    assert {(r["l"], r["m"]) for r in rows} == {("2", "2"), ("5", "1"), ("9", "1")}
+    assert {r["q"] for r in rows} == {"-0.01"}
+    assert {r["M"] for r in rows} == {"10"}
+    assert {r["engine"] for r in rows} == {"oracle"}
+    assert len({r["p"] for r in rows}) == 99
 
 
 def test_fig4a_theta_zero_equals_pi(figure_dir):
-    rows = read_rows_csv(figure_dir / "fig4a.csv")
+    rows = read_csv(figure_dir / "fig4a.csv")
     by_theta = {}
     for row in rows:
-        if row.status == "ok":
-            by_theta.setdefault(round(row.theta, 9), []).append((row.p, row.value))
+        if row["status"] == "ok":
+            by_theta.setdefault(round(float(row["theta"]), 9), []).append(
+                (float(row["p"]), float(row["value"])))
     zero = sorted(by_theta[0.0])
     pi_curve = sorted(by_theta[round(math.pi, 9)])
     assert len(zero) == len(pi_curve) > 0
@@ -285,10 +304,8 @@ def test_fig4a_theta_zero_equals_pi(figure_dir):
 
 
 def test_discrepancy_report_contents(figure_dir):
-    import csv as csv_mod
-
     with open(figure_dir / "discrepancy_report.csv", newline="") as handle:
-        reader = csv_mod.reader(handle)
+        reader = csv.reader(handle)
         header = tuple(next(reader))
         records = list(reader)
     assert header == DISCREPANCY_HEADER
@@ -439,7 +456,17 @@ def test_figures_build_each_state_and_moment_once(monkeypatch, tmp_path):
 
 
 def test_table1_computes_each_literal_moment_once_per_slice(monkeypatch):
+    import twomode.sweep as sweep
+
     builds, calls, kinds = _count_moment_calls(monkeypatch)
+    reductions = Counter()
+    reduce_columns = sweep.reduce_columns
+
+    def counted_reduce(witness, columns):
+        reductions[(len(columns[0]), witness)] += 1
+        return reduce_columns(witness, columns)
+
+    monkeypatch.setattr(sweep, "reduce_columns", counted_reduce)
 
     rows = table1_report()
 
@@ -453,6 +480,9 @@ def test_table1_computes_each_literal_moment_once_per_slice(monkeypatch):
     assert max(calls.values()) == 1
     # one batch call per (M, q, spec): 2 M x 6 q x 26 specs
     assert kinds == Counter({("literal_moment", True): 312})
+    # and one reduction per (M, q, witness), over all the slice's rows
+    assert sum(reductions.values()) == 12 * 13
+    assert sum(n for n, _ in reductions.elements()) == 13 * len(valid)
 
 
 # --- CLI -----------------------------------------------------------------------------
@@ -465,8 +495,9 @@ def test_cli_sweep_roundtrip(tmp_path):
         "--engine", "both", "--out", str(out),
     ])
     assert code == 0
-    rows = read_rows_csv(out / "sweep.csv")
-    assert rows == compute_rows(small_config(tmp_path, output_path=out))
+    expected = tmp_path / "expected.csv"
+    write_rows_csv(compute_rows(small_config(tmp_path, output_path=out)), expected)
+    assert (out / "sweep.csv").read_bytes() == expected.read_bytes()
 
 
 def test_cli_sweep_config_file(tmp_path):
@@ -537,9 +568,9 @@ def test_cli_sweep_nonfinite_q_gives_invalid_params_rows(tmp_path, q):
     assert main(["sweep", "--state", "ngbs", "--M", "10", "--q", f"0.01,{q}",
                  "--p", "0.1:0.9:3", "--witness", "sv", "--witness", "hoa:2,1",
                  "--engine", "both", "--out", str(out)]) == 0
-    rows = read_rows_csv(out / "sweep.csv")
+    rows = read_csv(out / "sweep.csv")
     assert len(rows) == 2 * 3 * 2 * 2
-    statuses = Counter((math.isfinite(r.q), r.status) for r in rows)
+    statuses = Counter((math.isfinite(float(r["q"])), r["status"]) for r in rows)
     assert statuses == {(True, "ok"): 12, (False, "invalid_params"): 12}
 
 

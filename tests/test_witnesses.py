@@ -25,7 +25,12 @@ from twomode import (
     sum_squeeze,
     sv,
 )
-from twomode.sweep import HOA_ORDER_SET, STANDARD_Q
+from twomode.sweep import (
+    HOA_ORDER_SET, STANDARD_P_GRID, STANDARD_Q, _grid_slice, _LiteralSlice, _SliceRow,
+)
+from twomode.witnesses import STRICT_ZERO, reduce_columns
+
+from conftest import signed_zero_states
 
 VACUUM = fock_pair(0, 0)
 
@@ -435,3 +440,159 @@ def test_shared_table_equals_fresh_evaluation_exactly(state, engines):
                 assert shared.status == "ok"
                 assert (shared.value, shared.scale) == reference
         assert set(table) == {spec for witness in VARIANTS for spec in witness.specs}
+
+
+# --- slice reductions ---------------------------------------------------------------
+#
+# The sweeps reduce each witness once over a slice's moment columns
+# (reduce_columns); every row must be the per-state result bit for bit.
+# These tests fail an array ``** 2`` (x*x, not libm pow), ``np.abs`` on complex
+# values, numpy's complex multiply loop and ``np.maximum`` for ``max(1.0, scale)``.
+
+def _assert_identical(got, want):
+    # repr tells the sign of a zero and NaN apart; type tells float from np.float64
+    assert [(type(f), repr(f)) for f in got] == [(type(f), repr(f)) for f in want]
+
+
+def _assert_slice_rows_equal_states(states):
+    literal = _LiteralSlice(states)
+    for witness in VARIANTS:
+        for index, state in enumerate(states):
+            row = evaluate(state, witness, Engine.LITERAL, _SliceRow(literal, index))
+            _assert_identical(row, evaluate(state, witness, Engine.LITERAL))
+
+
+@given(
+    total=st.one_of(st.integers(0, 24), st.sampled_from((100, 400))),
+    rows=st.integers(1, 5),
+    complex_amps=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slice_rows_equal_per_state_results(total, rows, complex_amps, seed):
+    states = signed_zero_states(np.random.default_rng(seed), total, rows, complex_amps)
+    _assert_slice_rows_equal_states(states)
+
+
+@pytest.mark.parametrize("total", [10, 20, 100, 400])
+def test_slice_rows_equal_per_state_results_on_ngbs_slices(total):
+    p_values = tuple(np.linspace(0.01, 0.99, 25).tolist())
+    for q in STANDARD_Q:
+        for p, state, tables in _grid_slice({}, "ngbs", total, q, p_values):
+            if state is not None:
+                fresh = {}
+                for witness in VARIANTS:
+                    row = evaluate(state, witness, Engine.LITERAL, tables[Engine.LITERAL])
+                    _assert_identical(row, evaluate(state, witness, Engine.LITERAL, fresh))
+
+
+_ANY_STATE = _fixed_total_fock(1, 1)  # a table that holds every spec is never asked
+
+
+def _random_columns(rng, witness, rows):
+    """Columns of random moments of every magnitude, one per spec of ``witness``.
+
+    Parts are 0.0 or -0.0 a fifth of the time, and a tenth of the values
+    are Python ``0j``: the literal engine gives np.complex128 values, and
+    ``0j`` for an empty plan.  A spec taken twice (``hoa:1,1`` takes
+    ``<n1 n2>`` twice) gets one column.
+    """
+    by_spec = {}
+    for spec in witness.specs:
+        if spec not in by_spec:
+            parts = rng.standard_normal((2, rows)) * 10.0 ** rng.uniform(-4, 4, (2, rows))
+            zeros = rng.random((2, rows)) < 0.2
+            parts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+            column = list(parts[0] + 1j * parts[1])
+            for index in np.flatnonzero(rng.random(rows) < 0.1):
+                column[index] = 0j
+            by_spec[spec] = column
+    return [by_spec[spec] for spec in witness.specs]
+
+
+def _assert_columns_reduce_like_rows(witness, columns):
+    results = reduce_columns(witness, columns)
+    assert len(results) == len(columns[0])
+    for index, result in enumerate(results):
+        table = {spec: column[index] for spec, column in zip(witness.specs, columns)}
+        _assert_identical(result, evaluate(_ANY_STATE, witness, Engine.LITERAL, table))
+
+
+@given(rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_random_columns_reduce_like_rows(rows, seed):
+    rng = np.random.default_rng(seed)
+    for witness in VARIANTS:
+        _assert_columns_reduce_like_rows(witness, _random_columns(rng, witness, rows))
+
+
+def test_many_random_columns_reduce_like_rows(rng):
+    for witness in VARIANTS:
+        _assert_columns_reduce_like_rows(witness, _random_columns(rng, witness, 2000))
+
+
+@pytest.mark.parametrize("witness", VARIANTS, ids=Witness.label)
+def test_empty_plan_columns_reduce_like_rows(witness):
+    # M = 0 and 1 leave most series empty: Python 0j in every row
+    for total in (0, 1):
+        states = [_fixed_total_fock(n, total - n) for n in range(total + 1)]
+        _assert_slice_rows_equal_states(states)
+    _assert_columns_reduce_like_rows(witness, [[0j] * 3 for _ in witness.specs])
+
+
+def test_degenerate_denominators_reduce_like_rows():
+    # hoa divides by the sum of its last two moments; degenerate up to 1e-14
+    den = [0j, np.complex128(1e-15), np.complex128(-0.0), np.complex128(1e-14),
+           np.complex128(1.0000000000000002e-14), np.complex128(0.5)]
+    num, zero = [np.complex128(0.25)] * len(den), [0j] * len(den)
+    hoa_results = reduce_columns(Witness("hoa", l=2, m=1), [num, num, den, zero])
+    assert [r.status for r in hoa_results] == ["degenerate"] * 4 + ["ok"] * 2
+    _assert_columns_reduce_like_rows(Witness("hoa", l=2, m=1), [num, num, den, zero])
+    # sum squeezing divides by <n1> + <n2> + 1
+    n1 = [np.complex128(-1.0), np.complex128(-0.5), np.complex128(-1.0 + 1e-14),
+          np.complex128(-0.9)]
+    n2 = [0j, np.complex128(-0.5), 0j, 0j]
+    rest = [[np.complex128(0.5 - 0.25j)] * 4 for _ in range(3)]
+    for theta in DEFAULT_THETAS:
+        witness = Witness("sum", theta=theta)
+        results = reduce_columns(witness, [n1, n2, *rest])
+        assert [r.status for r in results] == ["degenerate"] * 3 + ["ok"]
+        _assert_columns_reduce_like_rows(witness, [n1, n2, *rest])
+
+
+def test_nan_scale_counts_as_one_in_the_guard():
+    # <n1> = -inf and <a1> = inf: value -inf, scale -inf + inf = nan, and
+    # max(1.0, nan) is 1.0, so the guard flags the row (np.maximum gives nan
+    # and would not)
+    inf = np.complex128(math.inf)
+    zero = np.complex128(0.0)
+    columns = [[-inf], [zero], [inf], [zero], [zero], [zero], [zero], [zero]]
+    with np.errstate(all="ignore"):
+        (result,) = reduce_columns(Witness("quadx"), columns)
+        _assert_columns_reduce_like_rows(Witness("quadx"), columns)
+    assert result.status == "ok"
+    assert result.value == -math.inf and math.isnan(result.scale)
+    assert result.nonclassical is True
+
+
+def test_witness_hash_is_cached_and_consistent():
+    witness = Witness("sum", theta=0.5)
+    assert hash(witness) == hash(Witness("sum", theta=0.5))
+    assert {witness: 1}[Witness("sum", theta=0.5)] == 1
+    object.__setattr__(witness, "_hash", 12345)  # read back, not recomputed
+    assert hash(witness) == 12345
+
+
+# --- roundoff guard margin at large M ------------------------------------------------
+
+@pytest.mark.parametrize("total", [100, 200, 400])
+def test_guard_margin_on_the_q0_line_at_large_m(total):
+    # su11 and cs vanish identically on the q = 0 binomial line; measured
+    # worst |value| / (1e-12 max(1, scale)) over the standard p grid: 0.0028,
+    # 0.0039 and 0.0092 at M = 100, 200 and 400
+    p_values = tuple(np.linspace(*STANDARD_P_GRID).tolist())
+    worst = 0.0
+    for p, state, tables in _grid_slice({}, "ngbs", total, 0.0, p_values):
+        for witness in (Witness("su11"), Witness("cs")):
+            result = evaluate(state, witness, Engine.LITERAL, tables[Engine.LITERAL])
+            assert result.status == "ok" and not result.nonclassical
+            worst = max(worst, abs(result.value) / (STRICT_ZERO * max(1.0, result.scale)))
+    assert 0.0 < worst < 0.1
