@@ -21,15 +21,11 @@ from .states import InvalidParams, NGBSParams, NormalizationAnomaly, binomial_st
 from .sweep import (
     ConfigError,
     STANDARD_M,
-    STANDARD_P_GRID,
     STANDARD_Q,
     SweepConfig,
     format_table1,
     load_config,
-    parse_engines,
     parse_list,
-    parse_p_grid,
-    parse_witness_field,
     reproduce_figures,
     run_sweep,
     table1_report,
@@ -82,34 +78,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _sweep_from_flags(args) -> SweepConfig:
-    required = {"state": args.state, "M": args.total, "q": args.q,
-                "p": args.p, "witness": args.witness, "out": args.out}
-    missing = [k for k, v in required.items() if v is None]
-    if missing:
-        raise ConfigError(f"missing flags: {missing} (or pass --config)")
-    witnesses = []
-    for token in args.witness:
-        witnesses.extend(parse_witness_field(token))
-    config = SweepConfig(
-        state_family=args.state.lower(),
-        total=args.total,
-        q_list=parse_list(args.q),
-        p_grid=parse_p_grid(args.p),
-        witnesses=tuple(witnesses),
-        engines=parse_engines(args.engine),
-        output_path=args.out,
-        output_format=args.output_format,
-    )
-    config.validate()
-    return config
-
-
 def _cmd_sweep(args) -> int:
     if args.config is not None:
         config = load_config(args.config)
     else:
-        config = _sweep_from_flags(args)
+        config = SweepConfig.from_fields({
+            "state": args.state, "m": args.total, "q": args.q, "p": args.p,
+            "witnesses": None if args.witness is None else ";".join(args.witness),
+            "engine": args.engine, "out": args.out, "format": args.output_format,
+        })
     rows = run_sweep(config)
     ok = sum(1 for r in rows if r.status == "ok")
     print(f"wrote {len(rows)} rows ({ok} ok) to {config.output_path}")
@@ -155,25 +132,16 @@ def _cmd_compare(args) -> int:
     if args.max_order < 0:
         raise ConfigError(f"--max-order must be >= 0, got {args.max_order}")
 
-    specs = []
-    for daggers in range(args.max_order + 1):
-        for lowers in range(args.max_order + 1):
-            specs.append(MomentSpec(daggers, lowers, 0, 0))
-            if (daggers, lowers) != (0, 0):
-                specs.append(MomentSpec(0, 0, daggers, lowers))
-
-    def sort_key(report):
-        spec = report.spec
-        mode = 1 if (spec.r, spec.s) == (0, 0) else 2
-        return (mode, spec.j + spec.r, spec.k + spec.s)
+    # in print order: mode 1, then mode 2 without its copy of the identity
+    orders = [(d, low) for d in range(args.max_order + 1) for low in range(args.max_order + 1)]
+    rows = [(1, d, low, MomentSpec(d, low, 0, 0)) for d, low in orders]
+    rows += [(2, d, low, MomentSpec(0, 0, d, low)) for d, low in orders[1:]]
 
     print(f"state={args.state} M={args.total} p={args.p} q={args.q}")
     print(f"{'mode':>4} {'daggers':>7} {'lowers':>6} {'literal':>20} "
           f"{'oracle':>20} {'|delta|':>12} {'empty':>5}")
-    for report in sorted(compare_engines(state, specs), key=sort_key):
-        spec = report.spec
-        mode = 1 if (spec.r, spec.s) == (0, 0) else 2
-        daggers, lowers = (spec.j, spec.k) if mode == 1 else (spec.r, spec.s)
+    reports = compare_engines(state, [spec for *_, spec in rows])
+    for (mode, daggers, lowers, _), report in zip(rows, reports):
         print(f"{mode:>4} {daggers:>7} {lowers:>6} {report.literal_value.real:>20.12g} "
               f"{report.oracle_value.real:>20.12g} {report.abs_discrepancy:>12.3e} "
               f"{'yes' if report.degenerate else 'no':>5}")

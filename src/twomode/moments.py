@@ -6,8 +6,10 @@ series
     <a1^dag^k a1^l> = sum_n c_n c_(n-l+k) [n! (n-l+k)! / ((n-l)!)^2]^(1/2)
     <a2^dag^k a2^l> = sum_n c_n c_(n+l-k) [(M-n)! (M-n-l+k)! / ((M-n-l)!)^2]^(1/2)
 
-with mode-1 bounds n = l..M (l >= k) or n = l..M-(k-l) (l < k), and mode-2
-bounds n = 0..M-l (l >= k) or n = k-l..M-l (l < k).  Taken literally these
+with mode-1 bounds n = l..M (l >= k) or n = l..M-(k-l) (l < k).  Mode 2 holds
+M - n photons where mode 1 holds n, so its series is the mode-1 series
+mirrored by n -> M - n: the same weights, term for term, taken from the top
+index down (bounds n = 0..M-l, or k-l..M-l for l < k).  Taken literally these
 sums assign nonzero values to number-changing moments such as <a1>, which the
 total-photon selection rule forces to zero; the operator oracle in
 :mod:`twomode.fock` therefore disagrees with them off the diagonal.  Both
@@ -106,14 +108,12 @@ def _half_log_ratio(a: int, b: int, c: int) -> float:
 
 def mode1_sum_empty(total: int, daggers: int, lowers: int) -> bool:
     """True when the mode-1 series has crossing bounds (empty sum)."""
-    hi = total if lowers >= daggers else total - (daggers - lowers)
-    return lowers > hi
+    return not len(_series_plan("mode1", total, (daggers, lowers))[2])
 
 
 def mode2_sum_empty(total: int, daggers: int, lowers: int) -> bool:
     """True when the mode-2 series has crossing bounds (empty sum)."""
-    lo = 0 if lowers >= daggers else daggers - lowers
-    return lo > total - lowers
+    return not len(_series_plan("mode2", total, (daggers, lowers))[2])
 
 
 class MomentBatch(NamedTuple):
@@ -147,26 +147,16 @@ def _series_plan(kind: str, total: int, exponents: tuple[int, ...]):
     """
     m = total
     bra, ket, w = [], [], []
-    if kind == "mode1":
+    if kind in ("mode1", "mode2"):
         k, l = exponents
-        hi = m if l >= k else m - (k - l)
-        for n in range(l, hi + 1):
-            partner = n - l + k
-            if partner < 0 or partner > m:
-                continue
+        # n - l + k stays in 0..M over these bounds
+        for n in range(l, (m if l >= k else m - (k - l)) + 1):
             bra.append(n)
-            ket.append(partner)
-            w.append(math.exp(_half_log_ratio(n, partner, n - l)))
-    elif kind == "mode2":
-        k, l = exponents
-        lo = 0 if l >= k else k - l
-        for n in range(lo, m - l + 1):
-            partner = n + l - k
-            if partner < 0 or partner > m:
-                continue
-            bra.append(n)
-            ket.append(partner)
-            w.append(math.exp(_half_log_ratio(m - n, m - n - l + k, m - n - l)))
+            ket.append(n - l + k)
+            w.append(math.exp(_half_log_ratio(n, n - l + k, n - l)))
+        if kind == "mode2":
+            # the mode-1 terms mirrored by n -> M - n (module docstring)
+            bra, ket, w = [m - n for n in bra[::-1]], [m - n for n in ket[::-1]], w[::-1]
     else:
         j, k, r, s = exponents
         d = k - j

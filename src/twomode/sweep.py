@@ -85,6 +85,39 @@ class SweepConfig:
     output_path: Path
     output_format: str = "csv"
 
+    def __post_init__(self):
+        # an invalid config cannot be built, so no consumer checks it again
+        self.validate()
+
+    @classmethod
+    def from_fields(cls, values) -> "SweepConfig":
+        """Build a config from field text keyed in lower case.
+
+        Keys: state, m, q (comma-separated), p (start:end:steps), witnesses
+        (';'- or space-separated tokens), engine (literal|oracle|both,
+        default literal), out, format (csv|svg+csv, default csv).  A key
+        that is absent or None is missing.
+        """
+        values = {key: value for key, value in values.items() if value is not None}
+        missing = {"state", "m", "q", "p", "witnesses", "out"} - set(values)
+        if missing:
+            raise ConfigError(f"missing fields: {sorted(missing)}")
+        try:
+            return cls(
+                state_family=values["state"].lower(),
+                total=int(values["m"]),
+                q_list=parse_list(values["q"]),
+                p_grid=parse_p_grid(values["p"]),
+                witnesses=parse_witness_field(values["witnesses"]),
+                engines=parse_engines(values.get("engine", "literal")),
+                output_path=Path(values["out"]),
+                output_format=values.get("format", "csv"),
+            )
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
     def validate(self) -> None:
         if self.state_family not in STATE_FAMILIES:
             raise ConfigError(f"unknown state family {self.state_family!r}")
@@ -181,9 +214,8 @@ def parse_list(text: str, convert=float, what: str = "q list") -> tuple:
 def load_config(path: Path) -> SweepConfig:
     """Read a sweep configuration from a flat key=value file.
 
-    Keys: state, M, q (comma-separated), p (start:end:steps), witnesses
-    (';'- or space-separated tokens), engine (literal|oracle|both), out,
-    format (csv|svg+csv).  Lines starting with '#' are comments.
+    Keys as in :meth:`SweepConfig.from_fields`, in any case (``M = 20``).
+    Lines starting with '#' are comments.
     """
     values: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
@@ -194,27 +226,7 @@ def load_config(path: Path) -> SweepConfig:
             raise ConfigError(f"expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         values[key.strip().lower()] = val.strip()
-
-    missing = {"state", "m", "q", "p", "witnesses", "out"} - set(values)
-    if missing:
-        raise ConfigError(f"config is missing keys: {sorted(missing)}")
-    try:
-        config = SweepConfig(
-            state_family=values["state"].lower(),
-            total=int(values["m"]),
-            q_list=parse_list(values["q"]),
-            p_grid=parse_p_grid(values["p"]),
-            witnesses=parse_witness_field(values["witnesses"]),
-            engines=parse_engines(values.get("engine", "literal")),
-            output_path=Path(values["out"]),
-            output_format=values.get("format", "csv"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    config.validate()
-    return config
+    return SweepConfig.from_fields(values)
 
 
 def _delta_state(total: int, n1: int) -> FixedTotalState:
@@ -337,7 +349,6 @@ def compute_rows(config: SweepConfig) -> list[SweepRow]:
 def _compute_rows(config: SweepConfig, cache: dict) -> list[SweepRow]:
     """:func:`compute_rows` with states and moment tables from ``cache``
     (see :func:`_grid_slice`)."""
-    config.validate()
     witnesses = sorted(config.witnesses, key=lambda w: w.label())
     engines = sorted(config.engines, key=lambda e: e.value)
     p_values = tuple(float(p) for p in config.p_values())
@@ -431,7 +442,6 @@ def render_sweep_svgs(rows, out_dir: Path, stem: str) -> list[Path]:
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Run the sweep and write ``sweep.csv`` (plus charts) to the output dir."""
-    config.validate()
     rows = compute_rows(config)
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -587,26 +597,22 @@ class Table1Row:
     caveat: str = ""
 
 
+# (label, witnesses, note, caveat): the fixed fields of each Table1Row
 _TABLE_ROWS = (
     ("Higher-order two-mode antibunching",
-     tuple(Witness("hoa", l=l, m=m) for l, m in HOA_ORDER_SET), ""),
-    ("Quadrature squeezing", (Witness("quadx"), Witness("quady")), ""),
+     tuple(Witness("hoa", l=l, m=m) for l, m in HOA_ORDER_SET), "", ""),
+    ("Quadrature squeezing", (Witness("quadx"), Witness("quady")), "", ""),
     ("Sum squeezing",
-     tuple(Witness("sum", theta=t) for t in DEFAULT_THETAS), ""),
-    ("Shchukin-Vogel criterion", (Witness("sv"),), ""),
-    ("EPR (Mancini) criterion", (Witness("epr", form="literal"),), ""),
-    ("SU(1,1) uncertainty criterion", (Witness("su11"),), ""),
-    ("Cauchy-Schwarz inequality", (Witness("cs"),),
-     "literature-standard form"),
+     tuple(Witness("sum", theta=t) for t in DEFAULT_THETAS), "", ""),
+    ("Shchukin-Vogel criterion", (Witness("sv"),), "", ""),
+    ("EPR (Mancini) criterion", (Witness("epr", form="literal"),), "", ""),
+    ("SU(1,1) uncertainty criterion", (Witness("su11"),), "", ""),
+    ("Cauchy-Schwarz inequality", (Witness("cs"),), "literature-standard form",
+     "this is the intensity Cauchy-Schwarz inequality, a nonclassicality "
+     "test that separable states also violate; it is not the paper's "
+     "Cauchy-Schwarz based entanglement criterion, which the paper reports "
+     "as never satisfied and which is not implemented"),
 )
-
-_TABLE_CAVEATS = {
-    "Cauchy-Schwarz inequality": (
-        "this is the intensity Cauchy-Schwarz inequality, a nonclassicality "
-        "test that separable states also violate; it is not the paper's "
-        "Cauchy-Schwarz based entanglement criterion, which the paper reports "
-        "as never satisfied and which is not implemented"),
-}
 
 
 def table1_report(
@@ -643,7 +649,7 @@ def table1_report(
                     # NormalizationAnomaly) stops the table, as it always has
                     state = ngbs(NGBSParams(total, p, q))
                 table = tables.setdefault(engine, {})
-                for index, (_, witnesses, _) in enumerate(_TABLE_ROWS):
+                for index, (_, witnesses, _, _) in enumerate(_TABLE_ROWS):
                     for witness in witnesses:
                         res = evaluate(state, witness, engine, table)
                         if res.status != "ok":
@@ -656,15 +662,8 @@ def table1_report(
             f"no valid grid point for M in {tuple(m_values)}, q in {tuple(q_values)}"
         )
     return [
-        Table1Row(
-            label=label,
-            witnesses=witnesses,
-            present=present[index],
-            minimum=minimum[index],
-            note=note,
-            caveat=_TABLE_CAVEATS.get(label, ""),
-        )
-        for index, (label, witnesses, note) in enumerate(_TABLE_ROWS)
+        Table1Row(label, witnesses, present[index], minimum[index], note, caveat)
+        for index, (label, witnesses, note, caveat) in enumerate(_TABLE_ROWS)
     ]
 
 

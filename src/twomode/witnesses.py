@@ -123,8 +123,9 @@ class Witness:
                 raise ValueError(f"hoa requires l >= m >= 1, got l={self.l}, m={self.m}")
         if self.kind == "sum" and self.theta is None:
             raise ValueError("sum requires the angle theta")
-        if self.theta is not None and not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        # the reduction takes cos(2 theta), which fails on an infinite argument
+        if self.theta is not None and not math.isfinite(2 * self.theta):
+            raise ValueError(f"theta must be finite, and so must 2*theta, got {self.theta!r}")
         if self.kind == "epr" and self.form not in EPR_FORMS:
             raise ValueError(f"epr form must be one of {EPR_FORMS}, got {self.form!r}")
         # hashed once: witnesses key the sweeps' per-slice results

@@ -193,14 +193,19 @@ def _cross_loop(state, spec):
 
 def test_literal_series_equal_scalar_loops_on_ngbs():
     # exact equality with the term-by-term loops: the figures' discrepancy
-    # report holds rounding residue that must come out the same bit for bit
-    orders = range(11)
-    cross_specs = [
-        MomentSpec(j, k, r, s)
-        for j in orders for k in orders for r in orders for s in orders
-        if j + r == k + s and j + k + r + s <= 10
-    ]
-    for total in (10, 20):
+    # report holds rounding residue that must come out the same bit for bit;
+    # (type, repr) also tells -0.0 from 0.0 and a Python 0j from numpy's
+    def exact(value):
+        return type(value), repr(value)
+
+    for total in (0, 1, 3, 10, 20):
+        # small M up to M + 2, past every bound; larger M up to 10
+        orders = range(min(total + 3, 11))
+        cross_specs = [
+            MomentSpec(j, k, r, s)
+            for j in orders for k in orders for r in orders for s in orders
+            if j + r == k + s and j + k + r + s <= 10
+        ]
         for q in STANDARD_Q:
             for p in (0.01, 0.25, 0.5, 0.75, 0.99):
                 params = NGBSParams(total, p, q)
@@ -209,12 +214,12 @@ def test_literal_series_equal_scalar_loops_on_ngbs():
                 state = ngbs(params)
                 for daggers in orders:
                     for lowers in orders:
-                        assert mode1_moment(state, daggers, lowers) == _mode1_loop(
-                            state, daggers, lowers)
-                        assert mode2_moment(state, daggers, lowers) == _mode2_loop(
-                            state, daggers, lowers)
+                        assert exact(mode1_moment(state, daggers, lowers)) == exact(
+                            _mode1_loop(state, daggers, lowers))
+                        assert exact(mode2_moment(state, daggers, lowers)) == exact(
+                            _mode2_loop(state, daggers, lowers))
                 for spec in cross_specs:
-                    assert cross_moment(state, spec) == _cross_loop(state, spec)
+                    assert exact(cross_moment(state, spec)) == exact(_cross_loop(state, spec))
 
 
 def test_literal_hermiticity_on_complex_states(rng):

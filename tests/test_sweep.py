@@ -1,6 +1,8 @@
 import csv
 import math
+import runpy
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,10 +548,11 @@ def test_cli_rejects_empty_or_invalid_grids(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("theta", ["nan", "inf"])
+@pytest.mark.parametrize("theta", ["nan", "inf", "1e308", "-1e308"])
 def test_cli_sweep_rejects_nonfinite_theta_before_any_work(tmp_path, capsys, theta):
-    # unchecked, a NaN angle gives ok rows valued nan and an infinite one a
-    # "math domain error" once the whole sweep has run
+    # unchecked, a NaN angle gives ok rows valued nan, and an infinite angle,
+    # or one whose double overflows, a "math domain error" from cos(2 theta)
+    # once evaluation has started
     out = tmp_path / "out"
     assert main(["sweep", "--state", "ngbs", "--M", "10", "--q", "0",
                  "--p", "0.1:0.9:3", "--witness", f"sum:{theta}",
@@ -557,6 +560,15 @@ def test_cli_sweep_rejects_nonfinite_theta_before_any_work(tmp_path, capsys, the
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: theta must be finite")
+    assert not out.exists()
+
+
+def test_cli_sweep_names_missing_flags_before_any_work(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--state", "ngbs", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: missing fields: ['m', 'p', 'q', 'witnesses']\n"
     assert not out.exists()
 
 
@@ -619,3 +631,29 @@ def test_cli_table1_states_cauchy_schwarz_caveat_on_stderr(capsys):
     assert len(notes) == 1
     assert notes[0].startswith("note: Cauchy-Schwarz inequality: ")
     assert "not the paper's Cauchy-Schwarz based entanglement criterion" in notes[0]
+
+
+SUMMARY_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "summary_table.py"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--q", "abc"], "error: cannot parse q list 'abc'"),
+        (["--M", "ten"], "error: cannot parse M list 'ten'"),
+        (["--q", "-0.5", "--M", "10"], "error: no valid grid point"),
+    ],
+)
+def test_summary_script_reports_config_errors(capsys, argv, message):
+    main_script = runpy.run_path(str(SUMMARY_SCRIPT))["main"]
+    assert main_script(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+
+
+def test_summary_script_prints_the_table1_table(capsys):
+    assert main(["table1", "--q", "0.01", "--M", "10"]) == 0
+    table = capsys.readouterr().out
+    assert runpy.run_path(str(SUMMARY_SCRIPT))["main"](["--q", "0.01", "--M", "10"]) == 0
+    assert capsys.readouterr().out.startswith(table + "\n")
