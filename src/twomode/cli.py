@@ -17,8 +17,9 @@ from pathlib import Path
 
 from .fock import MomentSpec
 from .moments import compare_engines
-from .states import InvalidParams, NGBSParams, NormalizationAnomaly, binomial_state, ngbs
+from .states import InvalidParams, NormalizationAnomaly
 from .sweep import (
+    FIXED_TOTAL_FAMILIES,
     ConfigError,
     STANDARD_M,
     STANDARD_Q,
@@ -28,6 +29,7 @@ from .sweep import (
     parse_list,
     reproduce_figures,
     run_sweep,
+    _build_state,
     table1_report,
 )
 
@@ -70,7 +72,7 @@ def _build_parser() -> _Parser:
                        help="override the M grid (comma-separated)")
 
     p_cmp = sub.add_parser("compare", help="compare moment engines on one state")
-    p_cmp.add_argument("--state", default="ngbs", help="ngbs|binomial")
+    p_cmp.add_argument("--state", default="ngbs", help="ngbs|binomial|fock")
     p_cmp.add_argument("--M", dest="total", type=int, required=True)
     p_cmp.add_argument("--p", type=float, required=True)
     p_cmp.add_argument("--q", type=float, default=0.0)
@@ -118,17 +120,10 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        if args.state == "ngbs":
-            state = ngbs(NGBSParams(args.total, args.p, args.q))
-        elif args.state == "binomial":
-            state = binomial_state(args.total, args.p)
-        else:
-            raise ConfigError(
-                f"compare supports fixed-total families only, got {args.state!r}"
-            )
-    except (InvalidParams, NormalizationAnomaly) as exc:
-        raise ConfigError(str(exc)) from exc
+    if args.state not in FIXED_TOTAL_FAMILIES:
+        raise ConfigError(f"compare supports the fixed-total families "
+                          f"{', '.join(FIXED_TOTAL_FAMILIES)}; got {args.state!r}")
+    state = _build_state(args.state, args.total, args.p, args.q)
     if args.max_order < 0:
         raise ConfigError(f"--max-order must be >= 0, got {args.max_order}")
 

@@ -27,16 +27,27 @@ On a fixed-total state a number-changing moment is zero by the total-photon
 selection rule, and ``moment_oracle`` returns ``0j`` for it without building
 either grid; the grid ``np.vdot`` would give the same ``0j``.  Every other
 moment, and every moment of a ``TwoModeState``, goes through the grids.
+
+``moment_oracle`` also takes a :class:`MomentBatch`, the ``(P, M+1)`` stack
+of P fixed-total states of one M, and gives one value per row, the value,
+type and sign of zero of the call on that row's state alone.  The support
+of the whole stack is scaled by the cached ladder weights at once (a complex
+value times a real weight rounds the same in any numpy loop), then each row
+is scattered into one reused ``(M+1, M+1)`` grid per side and reduced by the
+same grid ``np.vdot``: the grid a row gets holds what the single state's
+grid holds, and only one grid per side is ever allocated, not one per row.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "FixedTotalState",
+    "MomentBatch",
     "MomentSpec",
     "TwoModeState",
     "apply_ladder",
@@ -136,6 +147,28 @@ class FixedTotalState:
         grid = np.zeros((m + 1, m + 1), dtype=complex)
         grid[np.arange(m + 1), m - np.arange(m + 1)] = self.amplitudes
         return TwoModeState(grid)
+
+
+class MomentBatch(NamedTuple):
+    """A stack of fixed-total states that share the total photon number M.
+
+    Row i of ``amplitudes``, shape ``(P, M+1)``, holds the ``c_n`` of state
+    i.  :func:`moment_oracle`, :func:`twomode.moments.literal_moment` and the
+    series functions take a batch in place of a state and return a list with
+    one value per row, each the value the state alone gives: same float,
+    same type, same sign of zero.
+    """
+
+    total: int
+    amplitudes: np.ndarray
+
+    @classmethod
+    def stack(cls, states) -> "MomentBatch":
+        """Stack fixed-total states of one M, in order."""
+        totals = {state.total for state in states}
+        if len(totals) != 1:
+            raise ValueError(f"a batch needs states of one total, got {sorted(totals)}")
+        return cls(totals.pop(), np.stack([state.amplitudes for state in states]))
 
 
 @dataclass(frozen=True)
@@ -249,24 +282,34 @@ def _ladder_plan(total: int, mode1: int, mode2: int):
     return cells, steps
 
 
+def _lowered_support(amplitudes: np.ndarray, total: int, mode1: int, mode2: int):
+    """The support values of ``a1^mode1 a2^mode2`` on fixed-total amplitudes,
+    scaled along the last axis, and the grid cells they go to.
+
+    The amplitudes are scaled one ladder step at a time by ``sqrt(n)``, all
+    mode-1 steps before the mode-2 steps, which is the product sequence of
+    repeated :func:`apply_ladder` calls; a complex value times a real weight
+    rounds the same in any numpy loop, so each entry is the same float for a
+    ``(P, M+1)`` stack as for one state.
+    """
+    (n, rows, cols), steps = _ladder_plan(total, mode1, mode2)
+    vals = amplitudes[..., n]
+    for weights in steps:
+        vals = vals * weights
+    return vals, rows, cols
+
+
 def _lowered_grid(state, mode1: int, mode2: int) -> np.ndarray:
     """Grid of ``a1^mode1 a2^mode2 |psi>``, as :func:`apply_ladder` builds it.
 
-    The stored amplitudes are scaled one ladder step at a time by
-    ``sqrt(n)``, all mode-1 steps before the mode-2 steps, which is the
-    product sequence of repeated :func:`apply_ladder` calls; a complex value
-    times a real weight rounds the same in any numpy loop, so each entry is
-    the same float.  Only the support is scaled (the anti-diagonal of a
-    fixed-total state), and no intermediate state is built or validated.
-    The result sits in a zero grid of the state's own shape, so the caller's
-    ``np.vdot`` runs the same reduction as :func:`inner_product`.
+    Only the support is scaled (the anti-diagonal of a fixed-total state, see
+    :func:`_lowered_support`), and no intermediate state is built or
+    validated.  The result sits in a zero grid of the state's own shape, so
+    the caller's ``np.vdot`` runs the same reduction as :func:`inner_product`.
     """
     if isinstance(state, FixedTotalState):
         m = state.total
-        (n, rows, cols), steps = _ladder_plan(m, mode1, mode2)
-        vals = state.amplitudes[n]
-        for weights in steps:
-            vals = vals * weights
+        vals, rows, cols = _lowered_support(state.amplitudes, m, mode1, mode2)
         grid = np.zeros((m + 1, m + 1), dtype=complex)
         grid[rows, cols] = vals
         return grid
@@ -280,7 +323,29 @@ def _lowered_grid(state, mode1: int, mode2: int) -> np.ndarray:
     return grid
 
 
-def moment_oracle(state, spec: MomentSpec) -> complex:
+def _batch_oracle(batch: MomentBatch, spec: MomentSpec) -> list:
+    """:func:`moment_oracle` on each row of a batch (module docstring)."""
+    if not spec.conserving:
+        return [0j] * len(batch.amplitudes)
+    m = batch.total
+    sides = [(spec.j, spec.r)]
+    if (spec.k, spec.s) != (spec.j, spec.r):
+        sides.append((spec.k, spec.s))
+    images = []
+    for mode1, mode2 in sides:
+        vals, rows, cols = _lowered_support(batch.amplitudes, m, mode1, mode2)
+        images.append((np.zeros((m + 1, m + 1), dtype=complex), rows, cols, vals))
+    bra, ket = images[0][0], images[-1][0]
+    values = []
+    for row in range(len(batch.amplitudes)):
+        # every row fills the same cells, so the rest of each grid stays zero
+        for grid, rows, cols, vals in images:
+            grid[rows, cols] = vals[row]
+        values.append(complex(np.vdot(bra, ket)))
+    return values
+
+
+def moment_oracle(state, spec: MomentSpec):
     """Evaluate ``<a1^dag^j a1^k a2^dag^r a2^s>`` by direct operator application.
 
     The normally ordered string is split at the dagger boundary:
@@ -299,7 +364,12 @@ def moment_oracle(state, spec: MomentSpec) -> complex:
     without building a grid: the two images lie on different anti-diagonals
     (the total-photon selection rule), so the ``np.vdot`` adds only exact
     zeros to accumulators that start at +0 and gives ``0j`` too.
+
+    A :class:`MomentBatch` in place of the state gives a list of one value
+    per row, each the value of that row's state.
     """
+    if isinstance(state, MomentBatch):
+        return _batch_oracle(state, spec)
     if not spec.conserving and isinstance(state, FixedTotalState):
         return 0j
     bra = _lowered_grid(state, spec.j, spec.r)

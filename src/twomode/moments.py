@@ -17,13 +17,15 @@ evaluation routes are kept:
 
 - ``Engine.ORACLE``: every moment via :func:`twomode.fock.moment_oracle`,
   which answers a number-changing moment of a fixed-total state with ``0j``
-  by the selection rule and takes every other moment from its Fock grids.
+  by the selection rule and takes every other moment from its Fock grids;
+  it takes a :class:`MomentBatch` too.
 - ``Engine.LITERAL``: single-mode moments from the closed-form series;
   cross-mode number-conserving moments from the exact one-index closed form
   (identical to the oracle); cross-mode number-changing moments factorized
   into a product of the two single-mode series.
 
-``compare_engines`` quantifies the disagreement per moment.
+``compare_engines`` quantifies the disagreement per moment, on one state or
+on a :class:`MomentBatch`.
 
 All three series run through one vectorised kernel, ``_series``: a plan of
 (bra index, ket index, weight) per (M, exponents), cached, and a gather of
@@ -69,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FixedTotalState, MomentSpec, log_factorial, moment_oracle
+from .fock import FixedTotalState, MomentBatch, MomentSpec, log_factorial, moment_oracle
 
 __all__ = [
     "Engine",
@@ -114,27 +116,6 @@ def mode1_sum_empty(total: int, daggers: int, lowers: int) -> bool:
 def mode2_sum_empty(total: int, daggers: int, lowers: int) -> bool:
     """True when the mode-2 series has crossing bounds (empty sum)."""
     return not len(_series_plan("mode2", total, (daggers, lowers))[2])
-
-
-class MomentBatch(NamedTuple):
-    """A stack of fixed-total states that share the total photon number M.
-
-    Row i of ``amplitudes``, shape ``(P, M+1)``, holds the ``c_n`` of state
-    i.  :func:`literal_moment` and the series functions take a batch in
-    place of a state and return a list with one value per row, each the
-    value the state alone gives: same float, same type, same sign of zero.
-    """
-
-    total: int
-    amplitudes: np.ndarray
-
-    @classmethod
-    def stack(cls, states) -> "MomentBatch":
-        """Stack fixed-total states of one M, in order."""
-        totals = {state.total for state in states}
-        if len(totals) != 1:
-            raise ValueError(f"a batch needs states of one total, got {sorted(totals)}")
-        return cls(totals.pop(), np.stack([state.amplitudes for state in states]))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -268,11 +249,11 @@ def literal_moment(state, spec: MomentSpec):
     return first * second
 
 
-def expectation(state, spec: MomentSpec, engine: Engine) -> complex:
+def expectation(state, spec: MomentSpec, engine: Engine):
     """Evaluate a moment under the chosen engine.
 
     The oracle accepts any state; the literal engine is only defined for
-    fixed-total states.
+    fixed-total states.  Both take a :class:`MomentBatch` and give a list.
     """
     if engine is Engine.ORACLE:
         return moment_oracle(state, spec)
@@ -280,7 +261,11 @@ def expectation(state, spec: MomentSpec, engine: Engine) -> complex:
 
 
 class MomentReport(NamedTuple):
-    """Side-by-side literal/oracle values for one moment."""
+    """Side-by-side literal/oracle values for one moment.
+
+    For a :class:`MomentBatch` the three values are lists, one entry per
+    row; ``degenerate`` depends only on M and the spec, so it stays one flag.
+    """
 
     spec: MomentSpec
     literal_value: complex
@@ -289,16 +274,18 @@ class MomentReport(NamedTuple):
     degenerate: bool
 
 
-def compare_engines(state: FixedTotalState, specs, tables=None) -> list[MomentReport]:
+def compare_engines(state, specs, tables=None) -> list[MomentReport]:
     """Compare both engines on a list of single-mode moment specs.
 
     Only pure single-mode specs (j,k,0,0) or (0,0,r,s) are accepted, since
     those are the ones the literal series define directly.  The degenerate
     flag marks specs whose series bounds cross (empty sum returned as 0).
+    A :class:`MomentBatch` in place of the state gives reports whose values
+    are per-row lists, row i the report of that row's state alone.
 
-    ``tables`` maps each engine to the caller's moment table for this state,
-    the table :func:`twomode.witnesses.evaluate` takes: specs missing from
-    the literal and the oracle table are computed and stored, the others are
+    ``tables`` maps each engine to the caller's moment table for this state
+    (for a batch, a dict from spec to column): specs missing from the
+    literal and the oracle table are computed and stored, the others are
     read back.  An engine without a table in ``tables`` gets a new one there.
     Without ``tables`` every moment is computed afresh.
     """
@@ -322,5 +309,10 @@ def compare_engines(state: FixedTotalState, specs, tables=None) -> list[MomentRe
             degenerate = mode1_sum_empty(state.total, spec.j, spec.k)
         else:
             degenerate = mode2_sum_empty(state.total, spec.r, spec.s)
-        reports.append(MomentReport(spec, lit, ora, abs(lit - ora), degenerate))
+        # the scalar difference, row by row for a batch, as each state takes it
+        if isinstance(state, MomentBatch):
+            gap = [abs(a - b) for a, b in zip(lit, ora)]
+        else:
+            gap = abs(lit - ora)
+        reports.append(MomentReport(spec, lit, ora, gap, degenerate))
     return reports

@@ -17,7 +17,9 @@ status).
 """
 
 import csv
+import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -63,6 +65,9 @@ CSV_HEADER = (
 )
 
 STATE_FAMILIES = ("ngbs", "binomial", "fock", "coherent")
+# the families whose states hold M photons in total, which the literal
+# engine requires
+FIXED_TOTAL_FAMILIES = ("ngbs", "binomial", "fock")
 
 STANDARD_M = (10, 20)
 STANDARD_Q = (-0.01, -0.005, 0.0, 0.005, 0.01, 0.1)
@@ -134,7 +139,7 @@ class SweepConfig:
             raise ConfigError("witness list must not be empty")
         if not self.engines:
             raise ConfigError("engine list must not be empty")
-        if self.state_family == "coherent" and Engine.LITERAL in self.engines:
+        if self.state_family not in FIXED_TOTAL_FAMILIES and Engine.LITERAL in self.engines:
             raise ConfigError(
                 "the literal engine requires a fixed-total state family; "
                 "use engine=oracle with the coherent family"
@@ -255,50 +260,78 @@ def _build_state(family: str, total: int, p: float, q: float):
 
 
 class _LiteralSlice:
-    """Literal moment columns and witness results of the fixed-total states
-    of one grid slice, each computed once for the slice: a column by one
-    :func:`twomode.moments.literal_moment` call on a :class:`MomentBatch` of
-    the states (looked up at call time, so that a wrapper sees it), results
-    by one :func:`~twomode.witnesses.reduce_columns`.  Row i is what state i
-    gives alone.
+    """The moment columns of the fixed-total states of one grid slice, for
+    both engines, and their literal witness results, each computed once for
+    the slice: a column by one :func:`twomode.moments.expectation` call on a
+    :class:`MomentBatch` of the states, which calls
+    ``moments.literal_moment`` or ``moments.moment_oracle`` (looked up at
+    call time, so that a wrapper sees them), results by one
+    :func:`~twomode.witnesses.reduce_columns`.  Row i is what state i gives
+    alone.  ``columns`` maps each engine to its columns by spec: the
+    ``tables`` that :func:`~twomode.moments.compare_engines` takes with the
+    batch.
     """
 
     def __init__(self, states):
         self._states = states
-        self._batch = None
-        self._columns = {}
+        self.columns = {Engine.LITERAL: {}, Engine.ORACLE: {}}
         self._results = {}
 
-    def column(self, spec: MomentSpec) -> list:
-        column = self._columns.get(spec)
+    @functools.cached_property
+    def batch(self) -> moments.MomentBatch:
+        return moments.MomentBatch.stack(self._states)
+
+    def column(self, engine: Engine, spec: MomentSpec) -> list:
+        columns = self.columns[engine]
+        column = columns.get(spec)
         if column is None:
-            if self._batch is None:
-                self._batch = moments.MomentBatch.stack(self._states)
-            column = self._columns[spec] = moments.literal_moment(self._batch, spec)
+            column = columns[spec] = moments.expectation(self.batch, spec, engine)
         return column
 
     def results(self, witness: Witness) -> list:
         results = self._results.get(witness)
         if results is None:
             results = self._results[witness] = reduce_columns(
-                witness, [self.column(spec) for spec in witness.specs])
+                witness, [self.column(Engine.LITERAL, spec) for spec in witness.specs])
         return results
 
 
 class _SliceRow(NamedTuple):
     """One state's literal moment table, a row of its slice, which computes
-    what the ``get`` of :func:`~twomode.moments.compare_engines` or the
-    ``result`` of :func:`~twomode.witnesses.evaluate` misses, inside that
-    call.  The slice holds no reference to its rows: no reference cycle."""
+    what the ``get`` or the ``result`` of :func:`~twomode.witnesses.evaluate`
+    misses, inside that call.  The slice holds no reference to its rows: no
+    reference cycle."""
 
     literal_slice: _LiteralSlice
     row: int
 
     def get(self, spec: MomentSpec):
-        return self.literal_slice.column(spec)[self.row]
+        return self.literal_slice.column(Engine.LITERAL, spec)[self.row]
 
     def result(self, witness: Witness):
         return self.literal_slice.results(witness)[self.row]
+
+
+class _OracleRow(NamedTuple):
+    """One state's oracle moment table, a row of its slice's oracle columns.
+    It has no ``result``: :func:`~twomode.witnesses.evaluate` reduces the
+    state's witnesses from it one state at a time."""
+
+    literal_slice: _LiteralSlice
+    row: int
+
+    def get(self, spec: MomentSpec):
+        return self.literal_slice.column(Engine.ORACLE, spec)[self.row]
+
+
+class _RowTables(dict):
+    """``{engine: table}`` of one fixed-total state of a slice: its literal
+    row, and its oracle row from the first time that is asked for, so that
+    a run on the literal engine alone builds no oracle view."""
+
+    def __missing__(self, engine: Engine) -> _OracleRow:
+        table = self[engine] = _OracleRow(*self[Engine.LITERAL])
+        return table
 
 
 def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple):
@@ -307,12 +340,12 @@ def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple)
 
     ``cache`` maps ``(family, M, q, p_values)`` to one ``(p, state, {engine:
     table})`` per p, with ``state`` None when the point fails state-family
-    validation.  The literal tables of a slice's fixed-total states are
-    rows of one :class:`_LiteralSlice`; other engines get their tables on
-    first use.  A caller that passes one cache to several sweeps builds
-    each distinct state once and computes each of its moments once per
-    engine.  (``ngbs`` gives the same state for q = 0.0 and -0.0, which
-    share a key.)
+    validation; ``tables[engine]`` gives the table, made on first use.  The
+    tables of a slice's fixed-total states are rows of one
+    :class:`_LiteralSlice`; other states get a dict per engine.  A caller
+    that passes one cache to several sweeps builds each distinct state once
+    and computes each of its moments once per engine.  (``ngbs`` gives the
+    same state for q = 0.0 and -0.0, which share a key.)
     """
     key = (family, total, q, p_values)
     points = cache.get(key)
@@ -327,7 +360,8 @@ def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple)
         literal = _LiteralSlice(fixed)
         rows = (_SliceRow(literal, index) for index in range(len(fixed)))
         points = cache[key] = [
-            (p, state, {Engine.LITERAL: next(rows)} if isinstance(state, FixedTotalState) else {})
+            (p, state, _RowTables({Engine.LITERAL: next(rows)})
+             if isinstance(state, FixedTotalState) else defaultdict(dict))
             for p, state in zip(p_values, states)
         ]
     return points
@@ -361,7 +395,7 @@ def _compute_rows(config: SweepConfig, cache: dict) -> list[SweepRow]:
                     value = nonclassical = None
                     status = "invalid_params"
                     if state is not None:
-                        res = evaluate(state, witness, engine, tables.setdefault(engine, {}))
+                        res = evaluate(state, witness, engine, tables[engine])
                         status = res.status
                         if status == "ok":
                             value, nonclassical = res.value, res.nonclassical
@@ -509,42 +543,62 @@ def _panel_moment_orders(panel_name: str, total: int):
 
 
 def _discrepancy_rows(panels, cache: dict):
-    """Yield the discrepancy report's records, ready for ``csv.writer``.
+    """Yield the discrepancy report's lines, one per (panel, valid grid
+    point, mode, moment), in that order.
 
-    One record per (panel, valid grid point, mode, moment), with states and
-    moment tables from ``cache`` (see :func:`_grid_slice`).  ``p`` and ``q``
-    come as their ``repr``, made once per grid point; the other floats are
-    Python floats, which the csv module writes as their ``repr``; the flag is
-    written ``true``/``false``: the cells :func:`_cell` would give.
+    Each (panel, slice, mode) takes one :func:`compare_engines` call on the
+    batch of the slice from ``cache`` (see :func:`_grid_slice`), with the
+    slice's moment columns as its tables, so that the panels and the report
+    compute each moment once per slice.  Each line is formatted once: ``p``
+    and ``q`` as the ``repr`` of their Python floats, as are the three
+    values, and the flag as ``true``/``false``.  These are the cells
+    :func:`_cell` gives, and none needs quoting, so the lines are what
+    ``csv.writer`` writes for them.
     """
     for name, config in panels:
-        orders = _panel_moment_orders(name, config.total)
+        total = config.total
+        orders = _panel_moment_orders(name, total)
         mode_specs = (
             (1, [MomentSpec(d, low, 0, 0) for d, low in orders]),
             (2, [MomentSpec(0, 0, d, low) for d, low in orders]),
         )
         p_values = tuple(float(p) for p in config.p_values())
         for q in sorted(config.q_list):
-            q_cell = repr(q)
-            for p, state, tables in _grid_slice(cache, "ngbs", config.total, q, p_values):
-                params = NGBSParams(config.total, p, q)
+            points = []  # (line head, batch row) per valid point
+            for p, state, tables in _grid_slice(cache, "ngbs", total, q, p_values):
+                params = NGBSParams(total, p, q)
                 if not params.is_valid():
                     continue
-                p_cell = repr(p)
                 if state is None:
                     # a valid point whose state failed to build (a
-                    # NormalizationAnomaly) stops the report, as it always has
-                    state = ngbs(params)
-                for mode, specs in mode_specs:
-                    reports = compare_engines(state, specs, tables)
-                    for (daggers, lowers), report in zip(orders, reports):
-                        yield (
-                            name, "ngbs", config.total, p_cell, q_cell, mode, daggers, lowers,
-                            float(report.literal_value.real),
-                            float(report.oracle_value.real),
-                            float(report.abs_discrepancy),
-                            "true" if report.degenerate else "false",
-                        )
+                    # NormalizationAnomaly) stops the report, as it always
+                    # has: building it again raises again
+                    ngbs(params)
+                literal = tables[Engine.LITERAL]
+                points.append((f"{name},ngbs,{total},{p!r},{q!r},", literal.row))
+            if not points:
+                continue
+            grid_slice = literal.literal_slice
+            cells = []  # (mode and orders, literal, oracle, gap, flag) per moment
+            for mode, specs in mode_specs:
+                reports = compare_engines(grid_slice.batch, specs, grid_slice.columns)
+                for (daggers, lowers), report in zip(orders, reports):
+                    cells.append((
+                        f"{mode},{daggers},{lowers},",
+                        _real_floats(report.literal_value),
+                        _real_floats(report.oracle_value),
+                        _real_floats(report.abs_discrepancy),
+                        ",true\n" if report.degenerate else ",false\n",
+                    ))
+            for head, row in points:
+                for middle, literal_values, oracle_values, gaps, flag in cells:
+                    yield (f"{head}{middle}{literal_values[row]!r},{oracle_values[row]!r},"
+                           f"{gaps[row]!r}{flag}")
+
+
+def _real_floats(values) -> list[float]:
+    """The real parts of a column as Python floats, each exactly."""
+    return np.asarray(values).real.tolist()
 
 
 DISCREPANCY_HEADER = (
@@ -577,9 +631,8 @@ def reproduce_figures(out_dir: Path) -> dict[str, list[SweepRow]]:
         (out_dir / f"{name}.svg").write_text(chart)
 
     with open(out_dir / "discrepancy_report.csv", "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(DISCREPANCY_HEADER)
-        writer.writerows(_discrepancy_rows(panels, cache))
+        handle.write(",".join(DISCREPANCY_HEADER) + "\n")
+        handle.writelines(_discrepancy_rows(panels, cache))
     return results
 
 
@@ -648,7 +701,7 @@ def table1_report(
                     # a valid point whose state failed to build (a
                     # NormalizationAnomaly) stops the table, as it always has
                     state = ngbs(NGBSParams(total, p, q))
-                table = tables.setdefault(engine, {})
+                table = tables[engine]
                 for index, (_, witnesses, _, _) in enumerate(_TABLE_ROWS):
                     for witness in witnesses:
                         res = evaluate(state, witness, engine, table)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from collections import Counter
 
@@ -10,6 +11,7 @@ import twomode.fock as fock
 import twomode.moments as moments
 from twomode import (
     FixedTotalState,
+    MomentBatch,
     MomentSpec,
     NGBSParams,
     TwoModeState,
@@ -23,7 +25,7 @@ from twomode import (
 )
 from twomode.sweep import _DIAGNOSTIC_SPECS, STANDARD_Q
 
-from conftest import random_fixed_total, random_grid_state
+from conftest import random_fixed_total, random_grid_state, signed_zero_states
 
 
 def test_log_factorial_base_cases():
@@ -199,6 +201,38 @@ def test_oracle_builds_no_grid_for_number_changing_moments(monkeypatch):
         if spec.conserving:
             expected[spec] += 1 if (spec.j, spec.r) == (spec.k, spec.s) else 2
     assert Counter(builds) == expected
+
+
+_SPECS_TO_3 = [MomentSpec(*e) for e in itertools.product(range(4), repeat=4)]
+
+
+def _assert_batch_rows_equal_states(states):
+    batch = MomentBatch.stack(states)
+    for spec in _SPECS_TO_3:
+        values = moment_oracle(batch, spec)
+        assert isinstance(values, list) and len(values) == len(states)
+        for state, got in zip(states, values):
+            want = moment_oracle(state, spec)
+            assert type(got) is type(want) and got == want, (spec, state)
+            for part in ("real", "imag"):
+                sign = math.copysign(1.0, getattr(got, part))
+                assert sign == math.copysign(1.0, getattr(want, part)), (spec, part)
+
+
+@pytest.mark.parametrize("total", [0, 5, 20, 100])
+def test_batch_oracle_rows_equal_states_on_ngbs_stacks(total):
+    # the stacks the sweeps build: states of one M, real amplitudes
+    states = [ngbs(NGBSParams(total, p, q)) for q in STANDARD_Q
+              for p in np.linspace(0.01, 0.99, 9) if NGBSParams(total, p, q).is_valid()]
+    _assert_batch_rows_equal_states(states)
+
+
+@pytest.mark.parametrize("total", [0, 5, 20, 100])
+@given(rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_batch_oracle_rows_equal_states_on_complex_stacks(total, rows, seed):
+    # complex amplitudes with +0.0 and -0.0 parts
+    states = signed_zero_states(np.random.default_rng(seed), total, rows, True)
+    _assert_batch_rows_equal_states(states)
 
 
 def test_selection_rule_randomized(rng):

@@ -398,6 +398,31 @@ def test_compare_engines_reads_and_fills_tables(total):
     assert tables[Engine.LITERAL] == {specs[0]: report.literal_value}
 
 
+@pytest.mark.parametrize("kind", ["ngbs", "complex"])
+@pytest.mark.parametrize("total", [0, 10, 20])
+def test_compare_engines_batch_rows_equal_states(rng, kind, total):
+    orders = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 1), (2, 2), (3, 3), (9, 9), (25, 25)]
+    specs = [MomentSpec(d, low, 0, 0) for d, low in orders]
+    specs += [MomentSpec(0, 0, d, low) for d, low in orders]
+    if kind == "ngbs":
+        states = [ngbs(NGBSParams(total, p, q)) for q in STANDARD_Q
+                  for p in np.linspace(0.05, 0.95, 7) if NGBSParams(total, p, q).is_valid()]
+    else:
+        states = signed_zero_states(rng, total, 6, True)
+    tables = {}
+    reports = compare_engines(MomentBatch.stack(states), specs, tables)
+    for row, state in enumerate(states):
+        for report, alone in zip(reports, compare_engines(state, specs), strict=True):
+            assert (report.spec, report.degenerate) == (alone.spec, alone.degenerate)
+            for got, want in ((report.literal_value[row], alone.literal_value),
+                              (report.oracle_value[row], alone.oracle_value),
+                              (report.abs_discrepancy[row], alone.abs_discrepancy)):
+                # repr tells the sign of a zero in either part
+                assert (type(got), repr(got)) == (type(want), repr(want)), (report.spec, row)
+    assert tables[Engine.LITERAL] == {r.spec: r.literal_value for r in reports}
+    assert tables[Engine.ORACLE] == {r.spec: r.oracle_value for r in reports}
+
+
 def test_compare_engines_flags_degenerate_orders():
     report = compare_engines(binomial_state(2, 0.5), [MomentSpec(4, 4, 0, 0)])[0]
     assert report.degenerate

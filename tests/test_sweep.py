@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import runpy
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 from twomode.cli import main
 from twomode.fock import MomentSpec
 from twomode.moments import Engine, MomentBatch
-from twomode.states import NGBSParams
+from twomode.states import NGBSParams, NormalizationAnomaly
 from twomode.svgplot import render_line_chart
 from twomode.sweep import (
     CSV_HEADER,
@@ -325,6 +326,38 @@ def test_discrepancy_report_contents(figure_dir):
     assert offdiag_gap > 0.1
 
 
+def test_discrepancy_report_is_what_csv_writer_writes(figure_dir):
+    # the report's lines are formatted by hand; the csv module must read them
+    # back to cells that it writes to the same bytes (no quoting, "\n" ends)
+    text = (figure_dir / "discrepancy_report.csv").read_bytes().decode()
+    out = io.StringIO(newline="")
+    csv.writer(out, lineterminator="\n").writerows(csv.reader(io.StringIO(text, newline="")))
+    lines, again = text.splitlines(True), out.getvalue().splitlines(True)
+    assert len(again) == len(lines) == text.count("\n") > 1
+    # line by line, so that a failure does not diff two 2-MB strings
+    mismatched = [(line, want) for line, want in zip(lines, again) if line != want]
+    assert not mismatched, mismatched[:3]
+
+
+def test_figures_stop_on_a_valid_point_whose_state_fails(monkeypatch, tmp_path):
+    import twomode.sweep as sweep
+
+    build = sweep.ngbs
+    # a valid point of the M = 10, q = 0 slice (panels fig3a and fig5a): the
+    # panels write it as an invalid_params row, the report must stop on it
+    failing = NGBSParams(10, float(np.linspace(*STANDARD_P_GRID)[40]), 0.0)
+    assert failing.is_valid()
+
+    def anomalous(params):
+        if params == failing:
+            raise NormalizationAnomaly("norm drifted")
+        return build(params)
+
+    monkeypatch.setattr(sweep, "ngbs", anomalous)
+    with pytest.raises(NormalizationAnomaly):
+        reproduce_figures(tmp_path)
+
+
 # --- summary table -------------------------------------------------------------------
 
 def test_table1_positive_q_has_no_antibunching():
@@ -447,14 +480,9 @@ def test_figures_build_each_state_and_moment_once(monkeypatch, tmp_path):
     assert builds == Counter(dict.fromkeys(grid_points, 1))
     assert set(calls) == needed
     assert max(calls.values()) == 1
-    # the literal engine runs one batch per (M, q) slice and spec, the oracle
-    # one state at a time
-    literal_slices = {(M, q, spec) for (M, _, q), spec, name in needed
-                      if name == "literal_moment"}
-    assert kinds == Counter({
-        ("literal_moment", True): len(literal_slices),
-        ("moment_oracle", False): len([key for key in needed if key[2] == "moment_oracle"]),
-    })
+    # each engine runs one batch per (M, q) slice and spec
+    slices = {(M, q, spec, name) for (M, _, q), spec, name in needed}
+    assert kinds == Counter((name, True) for *_, name in slices)
 
 
 def test_table1_computes_each_literal_moment_once_per_slice(monkeypatch):
@@ -612,6 +640,28 @@ def test_cli_compare_runs(capsys):
     out = capsys.readouterr().out
     assert "literal" in out and "oracle" in out
     assert len(out.splitlines()) == 2 + (9 + 8)  # header rows + specs
+
+
+def test_cli_compare_takes_every_fixed_total_family(capsys):
+    # the fock family is |n>|M-n> with n = 2 here: <n1> = 2 and <a1> = 0 under
+    # both engines
+    assert main(["compare", "--state", "fock", "--M", "4", "--p", "0.5",
+                 "--max-order", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "state=fock M=4 p=0.5 q=0.0"
+    assert len(lines) == 2 + (4 + 3)
+    rows = {tuple(line.split()[:3]): line.split()[3:5] for line in lines[2:]}
+    assert [float(v) for v in rows[("1", "1", "1")]] == pytest.approx([2.0, 2.0])
+    assert [float(v) for v in rows[("1", "0", "1")]] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("family", ["coherent", "squeezed"])
+def test_cli_compare_names_the_fixed_total_families(capsys, family):
+    assert main(["compare", "--state", family, "--M", "4", "--p", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: compare supports the fixed-total families "
+                            f"ngbs, binomial, fock; got {family!r}\n")
 
 
 def test_cli_table1_restricted(capsys):
