@@ -16,10 +16,10 @@ field that does not apply to the row, or a value suppressed by a non-ok
 status).
 """
 
-import csv
 import functools
 import math
-from collections import defaultdict
+import operator
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -73,6 +73,10 @@ STANDARD_M = (10, 20)
 STANDARD_Q = (-0.01, -0.005, 0.0, 0.005, 0.01, 0.1)
 STANDARD_P_GRID = (0.01, 0.99, 99)
 HOA_ORDER_SET = ((2, 2), (5, 1), (9, 1))
+
+# the largest MomentBatch a sweep config may ask for: one q slice of the p
+# grid stacked as complex amplitudes, 16 * steps * (M + 1) bytes
+MAX_SLICE_BYTES = 1 << 24
 
 
 class ConfigError(Exception):
@@ -135,6 +139,12 @@ class SweepConfig:
             raise ConfigError(f"p grid needs steps >= 2, got {steps}")
         if not start < end:
             raise ConfigError(f"p grid needs start < end, got {start!r}..{end!r}")
+        slice_bytes = 16 * steps * (self.total + 1)
+        if slice_bytes > MAX_SLICE_BYTES:
+            raise ConfigError(
+                f"p grid of {steps} steps at M={self.total} needs {slice_bytes} bytes "
+                f"per q slice, over the budget of {MAX_SLICE_BYTES} bytes"
+            )
         if not self.witnesses:
             raise ConfigError("witness list must not be empty")
         if not self.engines:
@@ -260,22 +270,23 @@ def _build_state(family: str, total: int, p: float, q: float):
 
 
 class _LiteralSlice:
-    """The moment columns of the fixed-total states of one grid slice, for
-    both engines, and their literal witness results, each computed once for
-    the slice: a column by one :func:`twomode.moments.expectation` call on a
+    """The fixed-total states of one grid slice, their moment columns under
+    both engines and their witness results, each computed once for the
+    slice: a column by one :func:`twomode.moments.expectation` call on a
     :class:`MomentBatch` of the states, which calls
     ``moments.literal_moment`` or ``moments.moment_oracle`` (looked up at
-    call time, so that a wrapper sees them), results by one
-    :func:`~twomode.witnesses.reduce_columns`.  Row i is what state i gives
-    alone.  ``columns`` maps each engine to its columns by spec: the
-    ``tables`` that :func:`~twomode.moments.compare_engines` takes with the
-    batch.
+    call time, so that a wrapper sees them), and the results of a (witness,
+    engine) by one :func:`~twomode.witnesses.reduce_columns` over that
+    engine's columns.  Results are released once each row has read its
+    own.  Row i is what state i gives alone.  ``columns`` maps each engine
+    to its columns by spec: the ``tables`` that
+    :func:`~twomode.moments.compare_engines` takes with the batch.
     """
 
     def __init__(self, states):
         self._states = states
         self.columns = {Engine.LITERAL: {}, Engine.ORACLE: {}}
-        self._results = {}
+        self._results = {}  # (witness, engine) -> [results, rows yet to read them]
 
     @functools.cached_property
     def batch(self) -> moments.MomentBatch:
@@ -288,49 +299,44 @@ class _LiteralSlice:
             column = columns[spec] = moments.expectation(self.batch, spec, engine)
         return column
 
-    def results(self, witness: Witness) -> list:
-        results = self._results.get(witness)
-        if results is None:
-            results = self._results[witness] = reduce_columns(
-                witness, [self.column(Engine.LITERAL, spec) for spec in witness.specs])
-        return results
+    def result(self, witness: Witness, engine: Engine, row: int):
+        key = (witness, engine)
+        entry = self._results.get(key)
+        if entry is None:
+            results = reduce_columns(
+                witness, [self.column(engine, spec) for spec in witness.specs], engine)
+            entry = self._results[key] = [results, len(results)]
+        entry[1] -= 1
+        if not entry[1]:
+            del self._results[key]
+        return entry[0][row]
 
 
 class _SliceRow(NamedTuple):
-    """One state's literal moment table, a row of its slice, which computes
-    what the ``get`` or the ``result`` of :func:`~twomode.witnesses.evaluate`
-    misses, inside that call.  The slice holds no reference to its rows: no
-    reference cycle."""
+    """One state's moment table under one engine, a row of its slice, whose
+    ``result`` answers :func:`~twomode.witnesses.evaluate` from the slice's
+    results, reducing the witness for the whole slice on first use.  The
+    slice holds no reference to its rows: no reference cycle."""
 
     literal_slice: _LiteralSlice
     row: int
-
-    def get(self, spec: MomentSpec):
-        return self.literal_slice.column(Engine.LITERAL, spec)[self.row]
+    engine: Engine
 
     def result(self, witness: Witness):
-        return self.literal_slice.results(witness)[self.row]
-
-
-class _OracleRow(NamedTuple):
-    """One state's oracle moment table, a row of its slice's oracle columns.
-    It has no ``result``: :func:`~twomode.witnesses.evaluate` reduces the
-    state's witnesses from it one state at a time."""
-
-    literal_slice: _LiteralSlice
-    row: int
-
-    def get(self, spec: MomentSpec):
-        return self.literal_slice.column(Engine.ORACLE, spec)[self.row]
+        return self.literal_slice.result(witness, self.engine, self.row)
 
 
 class _RowTables(dict):
-    """``{engine: table}`` of one fixed-total state of a slice: its literal
-    row, and its oracle row from the first time that is asked for, so that
-    a run on the literal engine alone builds no oracle view."""
+    """``{engine: table}`` of the fixed-total state in row ``row`` of
+    ``literal_slice``, each table made the first time it is asked for, so
+    that a run on the literal engine alone builds no oracle view."""
 
-    def __missing__(self, engine: Engine) -> _OracleRow:
-        table = self[engine] = _OracleRow(*self[Engine.LITERAL])
+    def __init__(self, literal_slice: _LiteralSlice, row: int):
+        super().__init__()
+        self.literal_slice, self.row = literal_slice, row
+
+    def __missing__(self, engine: Engine) -> _SliceRow:
+        table = self[engine] = _SliceRow(self.literal_slice, self.row, engine)
         return table
 
 
@@ -341,7 +347,7 @@ def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple)
     ``cache`` maps ``(family, M, q, p_values)`` to one ``(p, state, {engine:
     table})`` per p, with ``state`` None when the point fails state-family
     validation; ``tables[engine]`` gives the table, made on first use.  The
-    tables of a slice's fixed-total states are rows of one
+    tables of a slice's fixed-total states are :class:`_RowTables` of one
     :class:`_LiteralSlice`; other states get a dict per engine.  A caller
     that passes one cache to several sweeps builds each distinct state once
     and computes each of its moments once per engine.  (``ngbs`` gives the
@@ -358,9 +364,9 @@ def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple)
                 states.append(None)
         fixed = [state for state in states if isinstance(state, FixedTotalState)]
         literal = _LiteralSlice(fixed)
-        rows = (_SliceRow(literal, index) for index in range(len(fixed)))
+        rows = iter(range(len(fixed)))
         points = cache[key] = [
-            (p, state, _RowTables({Engine.LITERAL: next(rows)})
+            (p, state, _RowTables(literal, next(rows))
              if isinstance(state, FixedTotalState) else defaultdict(dict))
             for p, state in zip(p_values, states)
         ]
@@ -374,8 +380,9 @@ def compute_rows(config: SweepConfig) -> list[SweepRow]:
     engine).  Parameter points that fail state-family validation yield
     status ``invalid_params`` rows rather than aborting the sweep.  Each
     (state, engine) pair keeps one moment table, so every distinct moment
-    is computed once for all the witnesses of a grid point; the literal
-    engine computes it once for all the states of a q slice, in one batch.
+    is computed once for all the witnesses of a grid point; for the
+    fixed-total families each engine computes it once for all the states of
+    a q slice, in one batch, and reduces each witness once per slice.
     """
     return _compute_rows(config, {})
 
@@ -385,7 +392,7 @@ def _compute_rows(config: SweepConfig, cache: dict) -> list[SweepRow]:
     (see :func:`_grid_slice`)."""
     witnesses = sorted(config.witnesses, key=lambda w: w.label())
     engines = sorted(config.engines, key=lambda e: e.value)
-    p_values = tuple(float(p) for p in config.p_values())
+    p_values = tuple(config.p_values().tolist())
     rows: list[SweepRow] = []
     for q in sorted(config.q_list):
         for p, state, tables in _grid_slice(
@@ -407,42 +414,64 @@ def _compute_rows(config: SweepConfig, cache: dict) -> list[SweepRow]:
     return rows
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_rows_csv(rows, path: Path) -> None:
+    """Write ``rows`` as a sweep CSV: the header, then one line per row.
+
+    Each line is one f-string, and the ``state,M,p,q,`` head is formatted
+    once per grid point (a run of rows holding the same four objects).  A
+    cell of the type :class:`SweepRow` declares for it is written as
+    ``csv.writer`` writes its text: None as an empty cell, a bool or
+    ``np.bool_`` as ``true``/``false``, a float or ``np.floating`` as the
+    ``repr`` of its Python float, anything else through ``str``.  No cell
+    needs quoting: the strings come from fixed vocabularies, and no float's
+    ``repr`` holds a comma.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([
-                row.state_family, _cell(row.total), _cell(row.p), _cell(row.q),
-                row.witness_kind, _cell(row.l), _cell(row.m), _cell(row.theta),
-                _cell(row.form), row.engine, _cell(row.value),
-                _cell(row.nonclassical), row.status,
-            ])
+        handle.write(",".join(CSV_HEADER) + "\n")
+        handle.writelines(_csv_lines(rows))
+
+
+def _csv_lines(rows):
+    point = ()
+    for row in rows:
+        if not (point and all(map(operator.is_, row[:4], point))):
+            point = row[:4]
+            family, total, p, q = point
+            head = f"{family},{total},{float(p)!r},{float(q)!r},"
+        _, _, _, _, kind, l, m, theta, form, engine, value, nonclassical, status = row
+        yield (f"{head}{kind},{'' if l is None else l},{'' if m is None else m},"
+               f"{'' if theta is None else repr(float(theta))},{'' if form is None else form},"
+               f"{engine},{'' if value is None else repr(float(value))},"
+               f"{'' if nonclassical is None else 'true' if nonclassical else 'false'},"
+               f"{status}\n")
 
 
 def _safe_stem(label: str) -> str:
     return label.replace(":", "_").replace(",", "-").replace(".", "p")
 
 
+def _labelled(rows):
+    """``(witness label, row)`` per row, each label computed once per
+    distinct witness; the key holds the ``repr`` of theta, which keeps
+    ``sum:0.0`` and ``sum:-0.0`` apart."""
+    labels = {}
+    for row in rows:
+        key = (row.witness_kind, row.l, row.m, repr(row.theta), row.form)
+        label = labels.get(key)
+        if label is None:
+            label = labels[key] = row.witness_label()
+        yield label, row
+
+
 def _curves(rows):
     """Group ok/degenerate rows into labelled (xs, ys) curves over p."""
     groups: dict[tuple, list[SweepRow]] = {}
-    for row in rows:
+    for label, row in _labelled(rows):
         if row.status == "invalid_params":
             continue
-        key = (row.witness_label(), row.q, row.engine)
+        key = (label, row.q, row.engine)
         groups.setdefault(key, []).append(row)
     curves = []
     for (label, q, engine) in sorted(groups, key=lambda k: (k[0], k[1], k[2])):
@@ -458,8 +487,8 @@ def render_sweep_svgs(rows, out_dir: Path, stem: str) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     by_label: dict[str, list[SweepRow]] = {}
-    for row in rows:
-        by_label.setdefault(row.witness_label(), []).append(row)
+    for label, row in _labelled(rows):
+        by_label.setdefault(label, []).append(row)
     written = []
     for label in sorted(by_label):
         svg = render_line_chart(
@@ -543,57 +572,87 @@ def _panel_moment_orders(panel_name: str, total: int):
 
 
 def _discrepancy_rows(panels, cache: dict):
-    """Yield the discrepancy report's lines, one per (panel, valid grid
-    point, mode, moment), in that order.
+    """Yield the discrepancy report's lines, one per (panel, q slice, valid
+    grid point, mode, moment), in that order.
 
-    Each (panel, slice, mode) takes one :func:`compare_engines` call on the
-    batch of the slice from ``cache`` (see :func:`_grid_slice`), with the
-    slice's moment columns as its tables, so that the panels and the report
-    compute each moment once per slice.  Each line is formatted once: ``p``
-    and ``q`` as the ``repr`` of their Python floats, as are the three
-    values, and the flag as ``true``/``false``.  These are the cells
-    :func:`_cell` gives, and none needs quoting, so the lines are what
-    ``csv.writer`` writes for them.
+    The tails of a slice's lines, everything after ``figure,``, are
+    formatted once per distinct (M, q, moment orders, p grid), with one
+    :func:`compare_engines` call per mode on the batch of the slice from
+    ``cache`` (see :func:`_grid_slice`) and the slice's moment columns as
+    its tables, so that the panels and the report compute each moment once
+    per slice.  Each panel writes its name before every tail, one line at a
+    time, so that no report-sized string is built.  The tails are kept as
+    one string, and only until the last panel that names the slice has
+    written them.  The report is the cache's last reader: a grid slice
+    leaves ``cache`` once the last tails that read it are formatted.
     """
+    slices = []  # (key, cache key, name, orders) per (panel, q slice)
     for name, config in panels:
-        total = config.total
-        orders = _panel_moment_orders(name, total)
-        mode_specs = (
-            (1, [MomentSpec(d, low, 0, 0) for d, low in orders]),
-            (2, [MomentSpec(0, 0, d, low) for d, low in orders]),
-        )
-        p_values = tuple(float(p) for p in config.p_values())
+        orders = _panel_moment_orders(name, config.total)
+        p_values = tuple(config.p_values().tolist())
         for q in sorted(config.q_list):
-            points = []  # (line head, batch row) per valid point
-            for p, state, tables in _grid_slice(cache, "ngbs", total, q, p_values):
-                params = NGBSParams(total, p, q)
-                if not params.is_valid():
-                    continue
-                if state is None:
-                    # a valid point whose state failed to build (a
-                    # NormalizationAnomaly) stops the report, as it always
-                    # has: building it again raises again
-                    ngbs(params)
-                literal = tables[Engine.LITERAL]
-                points.append((f"{name},ngbs,{total},{p!r},{q!r},", literal.row))
-            if not points:
-                continue
-            grid_slice = literal.literal_slice
-            cells = []  # (mode and orders, literal, oracle, gap, flag) per moment
-            for mode, specs in mode_specs:
-                reports = compare_engines(grid_slice.batch, specs, grid_slice.columns)
-                for (daggers, lowers), report in zip(orders, reports):
-                    cells.append((
-                        f"{mode},{daggers},{lowers},",
-                        _real_floats(report.literal_value),
-                        _real_floats(report.oracle_value),
-                        _real_floats(report.abs_discrepancy),
-                        ",true\n" if report.degenerate else ",false\n",
-                    ))
-            for head, row in points:
-                for middle, literal_values, oracle_values, gaps, flag in cells:
-                    yield (f"{head}{middle}{literal_values[row]!r},{oracle_values[row]!r},"
-                           f"{gaps[row]!r}{flag}")
+            # repr: the lines tell -0.0 from 0.0, which the cache key does not
+            key = (config.total, repr(q), repr(config.p_grid), orders)
+            slices.append((key, ("ngbs", config.total, q, p_values), name, orders))
+    uses = Counter(key for key, _, _, _ in slices)
+    # distinct tails formatted from each grid slice
+    readers = Counter({key: grid for key, grid, _, _ in slices}.values())
+    kept = {}
+    for key, grid, name, orders in slices:
+        tails = kept.pop(key, None)
+        if tails is None:
+            tails = _slice_tails(cache, grid, orders)
+            readers[grid] -= 1
+            if not readers[grid]:
+                del cache[grid]
+        uses[key] -= 1
+        if uses[key]:
+            kept[key] = tails
+        if tails:
+            head = name + ","
+            yield from (head + tail + "\n" for tail in tails.split("\n"))
+
+
+def _slice_tails(cache: dict, grid: tuple, orders) -> str:
+    """The report's lines for the ``grid = ("ngbs", M, q, p_values)`` slice
+    from ``cache``, without their ``figure,`` cells, joined by newlines.
+    ``p`` and ``q`` are the ``repr`` of their Python floats, as are the
+    three values, and the flag is ``true``/``false``: the cells
+    ``csv.writer`` writes for them, none quoted."""
+    _, total, q, _ = grid
+    mode_specs = (
+        (1, [MomentSpec(d, low, 0, 0) for d, low in orders]),
+        (2, [MomentSpec(0, 0, d, low) for d, low in orders]),
+    )
+    points = []  # (line head, batch row) per valid point
+    for p, state, tables in _grid_slice(cache, *grid):
+        params = NGBSParams(total, p, q)
+        if not params.is_valid():
+            continue
+        if state is None:
+            # a valid point whose state failed to build (a
+            # NormalizationAnomaly) stops the report, as it always has:
+            # building it again raises again
+            ngbs(params)
+        grid_slice = tables.literal_slice
+        points.append((f"ngbs,{total},{p!r},{q!r},", tables.row))
+    if not points:
+        return ""
+    cells = []  # (mode and orders, literal, oracle, gap, flag) per moment
+    for mode, specs in mode_specs:
+        reports = compare_engines(grid_slice.batch, specs, grid_slice.columns)
+        for (daggers, lowers), report in zip(orders, reports):
+            cells.append((
+                f"{mode},{daggers},{lowers},",
+                _real_floats(report.literal_value),
+                _real_floats(report.oracle_value),
+                _real_floats(report.abs_discrepancy),
+                ",true" if report.degenerate else ",false",
+            ))
+    return "\n".join(
+        f"{head}{middle}{literal_values[row]!r},{oracle_values[row]!r},{gaps[row]!r}{flag}"
+        for head, row in points
+        for middle, literal_values, oracle_values, gaps, flag in cells)
 
 
 def _real_floats(values) -> list[float]:

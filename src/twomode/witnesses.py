@@ -14,10 +14,11 @@ one (state, engine) pair, so the witnesses evaluated with it share their
 moments; a moment's value does not depend on which witness asked first.
 
 :func:`reduce_columns` runs the same reductions on the moment columns of a
-slice of states, which the sweeps' literal tables use to reduce each witness
-once per slice; row i is the per-state result bit for bit.  Elementwise
-``+ - * /``, ``sqrt``, ``abs`` of a float and a real scalar times a complex
-array round alike as numpy arrays and as scalars, so they run vectorised.
+slice of states, under either engine, which the sweeps' tables use to reduce
+each witness once per slice; row i is the per-state result bit for bit.
+Elementwise ``+ - * /``, ``sqrt``, ``abs`` of a float and a real scalar
+times a complex array round alike as numpy arrays and as scalars, so they
+run vectorised.
 Three operations run one row at a time with the scalar operator, because
 numpy's loops round them differently (counts on 10^6 normal samples, x86_64
 with FMA, numpy 2.4): the square ``x ** 2`` is libm ``pow``, which differs
@@ -354,16 +355,18 @@ def evaluate(
                          float(scale))
 
 
-def reduce_columns(witness: Witness, columns) -> list:
-    """The literal results of ``witness`` on the rows of ``columns``, one
-    sequence of moment values per spec of ``witness`` in spec order: result i
-    is, bit for bit, :func:`evaluate`'s with a table holding row i of each."""
+def reduce_columns(witness: Witness, columns, engine: Engine) -> list:
+    """The results of ``witness`` on the rows of ``columns``, one sequence of
+    moment values per spec of ``witness`` in spec order, each stamped with
+    ``engine``, the engine that computed the columns: result i is, bit for
+    bit, :func:`evaluate`'s with that engine and a table holding row i of
+    each column."""
     values, scales, degenerates = np.broadcast_arrays(
         *_REDUCTIONS[witness.kind](witness, *map(np.asarray, columns)))
     rows = zip(values.tolist(), scales.tolist(), _nonclassical(values, scales).tolist(),
                degenerates.tolist())
-    return [WitnessResult(witness, math.nan, False, Engine.LITERAL, "degenerate") if degenerate
-            else WitnessResult(witness, value, nonclassical, Engine.LITERAL, "ok", scale)
+    return [WitnessResult(witness, math.nan, False, engine, "degenerate") if degenerate
+            else WitnessResult(witness, value, nonclassical, engine, "ok", scale)
             for value, scale, nonclassical, degenerate in rows]
 
 

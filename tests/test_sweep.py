@@ -16,11 +16,13 @@ from twomode.svgplot import render_line_chart
 from twomode.sweep import (
     CSV_HEADER,
     DISCREPANCY_HEADER,
+    MAX_SLICE_BYTES,
     STANDARD_M,
     STANDARD_P_GRID,
     STANDARD_Q,
     ConfigError,
     SweepConfig,
+    SweepRow,
     _panel_moment_orders,
     compute_rows,
     figure_panels,
@@ -80,6 +82,36 @@ def test_config_rejects_degenerate_grid(tmp_path):
 def test_config_rejects_bad_fields(tmp_path, overrides):
     with pytest.raises(ConfigError):
         small_config(tmp_path, **overrides).validate()
+
+
+def test_config_rejects_a_slice_over_the_byte_budget(tmp_path):
+    # a q slice stacks 16 * steps * (M + 1) bytes of amplitudes; the configs
+    # are only validated here, so nothing of that size is allocated
+    fields = {"state": "ngbs", "q": "0", "witnesses": "sv", "out": str(tmp_path / "out")}
+    at_budget = ((0, MAX_SLICE_BYTES // 16), (MAX_SLICE_BYTES // 32 - 1, 2))
+    for total, steps in at_budget:
+        SweepConfig.from_fields({**fields, "m": str(total), "p": f"0:1:{steps}"})
+    for total, steps in ((0, MAX_SLICE_BYTES // 16 + 1), (MAX_SLICE_BYTES // 32, 2),
+                         (20, 10_000_000_000)):
+        with pytest.raises(ConfigError, match=f"p grid of {steps} steps at M={total} needs"):
+            SweepConfig.from_fields({**fields, "m": str(total), "p": f"0:1:{steps}"})
+
+
+def test_cli_sweep_rejects_a_slice_over_the_byte_budget(monkeypatch, tmp_path, capsys):
+    import twomode.cli as cli
+
+    def no_run(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_run)
+    steps = MAX_SLICE_BYTES // (16 * 21) + 1
+    out = tmp_path / "out"
+    assert main(["sweep", "--state", "ngbs", "--M", "20", "--q", "0",
+                 "--p", f"0:1:{steps}", "--witness", "sv", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: p grid of {steps} steps at M=20 needs")
+    assert not out.exists()
 
 
 def test_config_rejects_literal_engine_for_coherent(tmp_path):
@@ -229,6 +261,62 @@ def test_csv_round_trip_exact(tmp_path):
             assert (type(got), repr(got)) == (type(want), repr(want)), (name, row)
 
 
+def _reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _reference_csv(rows) -> bytes:
+    """The sweep CSV as ``csv.writer`` writes it, cell by cell."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow([
+            row.state_family, _reference_cell(row.total), _reference_cell(row.p),
+            _reference_cell(row.q), row.witness_kind, _reference_cell(row.l),
+            _reference_cell(row.m), _reference_cell(row.theta), _reference_cell(row.form),
+            row.engine, _reference_cell(row.value), _reference_cell(row.nonclassical),
+            row.status,
+        ])
+    return out.getvalue().encode()
+
+
+def _cell_kind_rows():
+    """Rows holding every kind of cell, in runs that share their ``p`` object
+    and differ only in the sign of a zero ``q`` (or the other way round)."""
+    cells = [  # (theta, value, nonclassical)
+        (None, None, None), (0.0, 1.5, True), (-0.0, -0.0, False),
+        (np.float64(-0.0), np.float64(2.5), np.bool_(True)),
+        (math.pi, math.nan, np.bool_(False)), (None, math.inf, None),
+        (None, -math.inf, True), (None, np.float64(math.nan), False),
+    ]
+    p = 0.5
+    rows = [SweepRow("ngbs", 10, p, q, "sum", None, None, theta, None, "literal",
+                     value, flag, "ok")
+            for q in (0.0, -0.0, np.float64(-0.0), 0.0, 0.01, np.float64(0.25))
+            for theta, value, flag in cells]
+    q = 0.0
+    rows += [SweepRow("binomial", np.int64(20), p, q, "hoa", np.int64(2), 1, None, None,
+                      "oracle", 0.25, False, "ok")
+             for p in (0.0, -0.0, np.float64(0.5), np.float64(-0.0))]
+    rows.append(SweepRow("coherent", 4, 0.1, q, "epr", None, None, None, "variance",
+                         "oracle", None, None, "invalid_params"))
+    return rows
+
+
+def test_csv_is_what_csv_writer_writes(tmp_path):
+    path = tmp_path / "rows.csv"
+    for rows in (_cell_kind_rows(), compute_rows(small_config(tmp_path))):
+        write_rows_csv(iter(rows), path)
+        assert path.read_bytes() == _reference_csv(rows)
+
+
 def test_csv_header_contract(tmp_path):
     rows = compute_rows(small_config(tmp_path))
     path = tmp_path / "rows.csv"
@@ -262,6 +350,20 @@ def test_render_line_chart_deterministic():
     one = render_line_chart(curves, "t", "x", "y")
     two = render_line_chart(curves, "t", "x", "y")
     assert one == two
+
+
+def test_svg_labels_keep_the_sign_of_a_zero_theta(tmp_path):
+    # labels are computed once per distinct witness; 0.0 == -0.0, yet the
+    # labels sum:0.0 and sum:-0.0 differ
+    out = tmp_path / "out"
+    run_sweep(small_config(tmp_path, witnesses=(Witness("sum", theta=0.0),
+                                                Witness("sum", theta=-0.0)),
+                           output_format="svg+csv"))
+    charts = {path.name: path.read_text() for path in out.glob("*.svg")}
+    assert sorted(charts) == ["sweep_sum_-0p0.svg", "sweep_sum_0p0.svg"]
+    assert "sweep: sum:-0.0" in charts["sweep_sum_-0p0.svg"]
+    assert "sum:0.0 q=" in charts["sweep_sum_0p0.svg"]
+    assert "sum:-0.0 q=" not in charts["sweep_sum_0p0.svg"]
 
 
 # --- figure panels ---------------------------------------------------------------------
@@ -492,9 +594,9 @@ def test_table1_computes_each_literal_moment_once_per_slice(monkeypatch):
     reductions = Counter()
     reduce_columns = sweep.reduce_columns
 
-    def counted_reduce(witness, columns):
+    def counted_reduce(witness, columns, engine):
         reductions[(len(columns[0]), witness)] += 1
-        return reduce_columns(witness, columns)
+        return reduce_columns(witness, columns, engine)
 
     monkeypatch.setattr(sweep, "reduce_columns", counted_reduce)
 
@@ -513,6 +615,52 @@ def test_table1_computes_each_literal_moment_once_per_slice(monkeypatch):
     # and one reduction per (M, q, witness), over all the slice's rows
     assert sum(reductions.values()) == 12 * 13
     assert sum(n for n, _ in reductions.elements()) == 13 * len(valid)
+
+
+def test_figures_compare_and_reduce_once_per_distinct_slice(monkeypatch, tmp_path):
+    import twomode.sweep as sweep
+
+    comparisons = Counter()
+    reductions = Counter()
+    compare_engines, reduce_columns = sweep.compare_engines, sweep.reduce_columns
+
+    def counted_compare(batch, specs, tables=None):
+        comparisons[(batch.total, batch.amplitudes.tobytes(), tuple(specs))] += 1
+        return compare_engines(batch, specs, tables)
+
+    def counted_reduce(witness, columns, engine):
+        # a slice's column lists live as long as the run's cache: the id of
+        # the first one tells the slices apart
+        reductions[(witness, engine, id(columns[0]), len(columns[0]))] += 1
+        return reduce_columns(witness, columns, engine)
+
+    monkeypatch.setattr(sweep, "compare_engines", counted_compare)
+    monkeypatch.setattr(sweep, "reduce_columns", counted_reduce)
+
+    reproduce_figures(tmp_path)
+
+    compared = set()  # (M, q, mode specs)
+    reduced = {}  # (M, q, witness, engine) -> valid points of the slice
+    for name, config in figure_panels(tmp_path):
+        orders = _panel_moment_orders(name, config.total)
+        (engine,) = config.engines
+        for q in config.q_list:
+            compared.add((config.total, q, tuple(MomentSpec(d, low, 0, 0) for d, low in orders)))
+            compared.add((config.total, q, tuple(MomentSpec(0, 0, d, low) for d, low in orders)))
+            valid = sum(NGBSParams(config.total, float(p), q).is_valid()
+                        for p in config.p_values())
+            reduced.update(((config.total, q, witness, engine), valid)
+                           for witness in config.witnesses)
+    # 13 distinct slices, two modes each, though ten panels name 19 slices
+    assert len(compared) == 26
+    assert set(comparisons.values()) == {1}
+    assert Counter((total, specs) for total, _, specs in comparisons) == Counter(
+        (total, specs) for total, _, specs in compared)
+    # oracle panels (fig2*) included
+    assert set(reductions.values()) == {1}
+    assert Counter((witness, engine, rows) for witness, engine, _, rows in reductions) == (
+        Counter((witness, engine, rows) for (_, _, witness, engine), rows in reduced.items()))
+    assert {engine for _, engine, _, _ in reductions} == {Engine.LITERAL, Engine.ORACLE}
 
 
 # --- CLI -----------------------------------------------------------------------------

@@ -444,10 +444,14 @@ def test_shared_table_equals_fresh_evaluation_exactly(state, engines):
 
 # --- slice reductions ---------------------------------------------------------------
 #
-# The sweeps reduce each witness once over a slice's moment columns
-# (reduce_columns); every row must be the per-state result bit for bit.
-# These tests fail an array ``** 2`` (x*x, not libm pow), ``np.abs`` on complex
-# values, numpy's complex multiply loop and ``np.maximum`` for ``max(1.0, scale)``.
+# The sweeps reduce each witness once over a slice's moment columns, under
+# either engine (reduce_columns); every row must be the per-state result bit
+# for bit.  These tests fail an array ``** 2`` (x*x, not libm pow), ``np.abs``
+# on complex values, numpy's complex multiply loop, ``np.maximum`` for
+# ``max(1.0, scale)`` and a slice that keys its results by witness alone.
+
+BOTH = (Engine.LITERAL, Engine.ORACLE)
+
 
 def _assert_identical(got, want):
     # repr tells the sign of a zero and NaN apart; type tells float from np.float64
@@ -455,11 +459,15 @@ def _assert_identical(got, want):
 
 
 def _assert_slice_rows_equal_states(states):
-    literal = _LiteralSlice(states)
+    grid_slice = _LiteralSlice(states)
     for witness in VARIANTS:
+        # engines alternate row by row, as they do in an --engine both sweep
         for index, state in enumerate(states):
-            row = evaluate(state, witness, Engine.LITERAL, _SliceRow(literal, index))
-            _assert_identical(row, evaluate(state, witness, Engine.LITERAL))
+            for engine in BOTH:
+                row = evaluate(state, witness, engine, _SliceRow(grid_slice, index, engine))
+                _assert_identical(row, evaluate(state, witness, engine))
+    # every row has read its results, so the slice keeps none
+    assert not grid_slice._results
 
 
 @given(
@@ -479,10 +487,11 @@ def test_slice_rows_equal_per_state_results_on_ngbs_slices(total):
     for q in STANDARD_Q:
         for p, state, tables in _grid_slice({}, "ngbs", total, q, p_values):
             if state is not None:
-                fresh = {}
-                for witness in VARIANTS:
-                    row = evaluate(state, witness, Engine.LITERAL, tables[Engine.LITERAL])
-                    _assert_identical(row, evaluate(state, witness, Engine.LITERAL, fresh))
+                for engine in BOTH:
+                    fresh = {}
+                    for witness in VARIANTS:
+                        row = evaluate(state, witness, engine, tables[engine])
+                        _assert_identical(row, evaluate(state, witness, engine, fresh))
 
 
 _ANY_STATE = _fixed_total_fock(1, 1)  # a table that holds every spec is never asked
@@ -510,7 +519,8 @@ def _random_columns(rng, witness, rows):
 
 
 def _assert_columns_reduce_like_rows(witness, columns):
-    results = reduce_columns(witness, columns)
+    # the engine only stamps the results; the slice tests cover both
+    results = reduce_columns(witness, columns, Engine.LITERAL)
     assert len(results) == len(columns[0])
     for index, result in enumerate(results):
         table = {spec: column[index] for spec, column in zip(witness.specs, columns)}
@@ -543,7 +553,7 @@ def test_degenerate_denominators_reduce_like_rows():
     den = [0j, np.complex128(1e-15), np.complex128(-0.0), np.complex128(1e-14),
            np.complex128(1.0000000000000002e-14), np.complex128(0.5)]
     num, zero = [np.complex128(0.25)] * len(den), [0j] * len(den)
-    hoa_results = reduce_columns(Witness("hoa", l=2, m=1), [num, num, den, zero])
+    hoa_results = reduce_columns(Witness("hoa", l=2, m=1), [num, num, den, zero], Engine.LITERAL)
     assert [r.status for r in hoa_results] == ["degenerate"] * 4 + ["ok"] * 2
     _assert_columns_reduce_like_rows(Witness("hoa", l=2, m=1), [num, num, den, zero])
     # sum squeezing divides by <n1> + <n2> + 1
@@ -553,7 +563,7 @@ def test_degenerate_denominators_reduce_like_rows():
     rest = [[np.complex128(0.5 - 0.25j)] * 4 for _ in range(3)]
     for theta in DEFAULT_THETAS:
         witness = Witness("sum", theta=theta)
-        results = reduce_columns(witness, [n1, n2, *rest])
+        results = reduce_columns(witness, [n1, n2, *rest], Engine.LITERAL)
         assert [r.status for r in results] == ["degenerate"] * 3 + ["ok"]
         _assert_columns_reduce_like_rows(witness, [n1, n2, *rest])
 
@@ -566,7 +576,7 @@ def test_nan_scale_counts_as_one_in_the_guard():
     zero = np.complex128(0.0)
     columns = [[-inf], [zero], [inf], [zero], [zero], [zero], [zero], [zero]]
     with np.errstate(all="ignore"):
-        (result,) = reduce_columns(Witness("quadx"), columns)
+        (result,) = reduce_columns(Witness("quadx"), columns, Engine.LITERAL)
         _assert_columns_reduce_like_rows(Witness("quadx"), columns)
     assert result.status == "ok"
     assert result.value == -math.inf and math.isnan(result.scale)
