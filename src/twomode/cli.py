@@ -34,6 +34,11 @@ from .sweep import (
 )
 
 
+# compare's default order; every exponent above M gives an empty series, so
+# --max-order may reach M, or this default when M is smaller
+DEFAULT_MAX_ORDER = 5
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the contract reserves 2
     # for I/O problems, so usage errors are rethrown as config errors
@@ -76,7 +81,7 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("--M", dest="total", type=int, required=True)
     p_cmp.add_argument("--p", type=float, required=True)
     p_cmp.add_argument("--q", type=float, default=0.0)
-    p_cmp.add_argument("--max-order", type=int, default=5)
+    p_cmp.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     return parser
 
 
@@ -96,9 +101,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    results = reproduce_figures(args.out)
-    total = sum(len(rows) for rows in results.values())
-    print(f"wrote {len(results)} figure panels ({total} rows) "
+    counts = reproduce_figures(args.out)
+    print(f"wrote {len(counts)} figure panels ({sum(counts.values())} rows) "
           f"and discrepancy_report.csv to {args.out}")
     return 0
 
@@ -123,9 +127,13 @@ def _cmd_compare(args) -> int:
     if args.state not in FIXED_TOTAL_FAMILIES:
         raise ConfigError(f"compare supports the fixed-total families "
                           f"{', '.join(FIXED_TOTAL_FAMILIES)}; got {args.state!r}")
-    state = _build_state(args.state, args.total, args.p, args.q)
     if args.max_order < 0:
         raise ConfigError(f"--max-order must be >= 0, got {args.max_order}")
+    bound = max(args.total, DEFAULT_MAX_ORDER)
+    if args.max_order > bound:
+        raise ConfigError(f"--max-order must be at most max(M, {DEFAULT_MAX_ORDER}) = {bound}, "
+                          f"got {args.max_order}: every exponent above M gives an empty series")
+    state = _build_state(args.state, args.total, args.p, args.q)
 
     # in print order: mode 1, then mode 2 without its copy of the identity
     orders = [(d, low) for d in range(args.max_order + 1) for low in range(args.max_order + 1)]

@@ -19,7 +19,7 @@ status).
 import functools
 import math
 import operator
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -83,6 +83,17 @@ class ConfigError(Exception):
     """Sweep configuration is structurally invalid."""
 
 
+def _check_slice_budget(steps: int, total: int) -> None:
+    """Raise :class:`ConfigError` when one q slice of a ``steps``-point p
+    grid at M = ``total`` would need a batch over ``MAX_SLICE_BYTES``."""
+    slice_bytes = 16 * steps * (total + 1)
+    if slice_bytes > MAX_SLICE_BYTES:
+        raise ConfigError(
+            f"p grid of {steps} steps at M={total} needs {slice_bytes} bytes "
+            f"per q slice, over the budget of {MAX_SLICE_BYTES} bytes"
+        )
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     state_family: str
@@ -139,12 +150,7 @@ class SweepConfig:
             raise ConfigError(f"p grid needs steps >= 2, got {steps}")
         if not start < end:
             raise ConfigError(f"p grid needs start < end, got {start!r}..{end!r}")
-        slice_bytes = 16 * steps * (self.total + 1)
-        if slice_bytes > MAX_SLICE_BYTES:
-            raise ConfigError(
-                f"p grid of {steps} steps at M={self.total} needs {slice_bytes} bytes "
-                f"per q slice, over the budget of {MAX_SLICE_BYTES} bytes"
-            )
+        _check_slice_budget(steps, self.total)
         if not self.witnesses:
             raise ConfigError("witness list must not be empty")
         if not self.engines:
@@ -466,16 +472,19 @@ def _labelled(rows):
 
 
 def _curves(rows):
-    """Group ok/degenerate rows into labelled (xs, ys) curves over p."""
+    """Group ok/degenerate rows into labelled (xs, ys) curves over p, one
+    per (witness label, q, engine); the ``repr`` of q keeps the slices of
+    ``q=0.0`` and ``q=-0.0`` apart, and sorts the second first."""
     groups: dict[tuple, list[SweepRow]] = {}
     for label, row in _labelled(rows):
         if row.status == "invalid_params":
             continue
-        key = (label, row.q, row.engine)
+        key = (label, row.q, repr(row.q), row.engine)
         groups.setdefault(key, []).append(row)
     curves = []
-    for (label, q, engine) in sorted(groups, key=lambda k: (k[0], k[1], k[2])):
-        sub = sorted(groups[(label, q, engine)], key=lambda r: r.p)
+    for key in sorted(groups):
+        label, q, _, engine = key
+        sub = sorted(groups[key], key=lambda r: r.p)
         xs = [r.p for r in sub]
         ys = [r.value if r.value is not None else float("nan") for r in sub]
         curves.append((f"{label} q={q:g} [{engine}]", xs, ys))
@@ -571,46 +580,36 @@ def _panel_moment_orders(panel_name: str, total: int):
     return _DIAGNOSTIC_SPECS
 
 
-def _discrepancy_rows(panels, cache: dict):
-    """Yield the discrepancy report's lines, one per (panel, q slice, valid
-    grid point, mode, moment), in that order.
+def _figure_plan(panels):
+    """What each of ``panels`` reads and what it leaves behind, in panel
+    order: one ``(name, config, slices, done)`` per panel.
 
-    The tails of a slice's lines, everything after ``figure,``, are
-    formatted once per distinct (M, q, moment orders, p grid), with one
-    :func:`compare_engines` call per mode on the batch of the slice from
-    ``cache`` (see :func:`_grid_slice`) and the slice's moment columns as
-    its tables, so that the panels and the report compute each moment once
-    per slice.  Each panel writes its name before every tail, one line at a
-    time, so that no report-sized string is built.  The tails are kept as
-    one string, and only until the last panel that names the slice has
-    written them.  The report is the cache's last reader: a grid slice
-    leaves ``cache`` once the last tails that read it are formatted.
+    ``slices`` holds one ``(tails key, grid key, orders, again)`` per q
+    slice of the panel, sorted by q.  The grid key is the slice's key in
+    the run's cache (see :func:`_grid_slice`), which the panel's rows and
+    its report lines both read.  The tails key names the slice's report
+    tails, everything after ``figure,`` (see :func:`_slice_tails`), which
+    are the same for each distinct (M, q, moment orders, p grid); ``again``
+    is true when a later panel writes the same tails, which must then be
+    kept.  ``done`` holds the grid keys that no later panel computes or
+    reports: their slices leave the cache once the panel is written.
     """
-    slices = []  # (key, cache key, name, orders) per (panel, q slice)
-    for name, config in panels:
+    plan = []
+    later_tails, later_grids = set(), set()
+    for name, config in reversed(panels):
         orders = _panel_moment_orders(name, config.total)
         p_values = tuple(config.p_values().tolist())
-        for q in sorted(config.q_list):
+        slices = []
+        for q in sorted(config.q_list)[::-1]:
             # repr: the lines tell -0.0 from 0.0, which the cache key does not
-            key = (config.total, repr(q), repr(config.p_grid), orders)
-            slices.append((key, ("ngbs", config.total, q, p_values), name, orders))
-    uses = Counter(key for key, _, _, _ in slices)
-    # distinct tails formatted from each grid slice
-    readers = Counter({key: grid for key, grid, _, _ in slices}.values())
-    kept = {}
-    for key, grid, name, orders in slices:
-        tails = kept.pop(key, None)
-        if tails is None:
-            tails = _slice_tails(cache, grid, orders)
-            readers[grid] -= 1
-            if not readers[grid]:
-                del cache[grid]
-        uses[key] -= 1
-        if uses[key]:
-            kept[key] = tails
-        if tails:
-            head = name + ","
-            yield from (head + tail + "\n" for tail in tails.split("\n"))
+            tails = (config.total, repr(q), repr(config.p_grid), orders)
+            grid = (config.state_family, config.total, q, p_values)
+            slices.append((tails, grid, orders, tails in later_tails))
+            later_tails.add(tails)
+        grids = {grid for _, grid, _, _ in slices}
+        plan.append((name, config, slices[::-1], grids - later_grids))
+        later_grids |= grids
+    return plan[::-1]
 
 
 def _slice_tails(cache: dict, grid: tuple, orders) -> str:
@@ -666,33 +665,48 @@ DISCREPANCY_HEADER = (
 )
 
 
-def reproduce_figures(out_dir: Path) -> dict[str, list[SweepRow]]:
+def reproduce_figures(out_dir: Path) -> dict[str, int]:
     """Write one CSV + SVG pair per reference figure panel plus the
-    engine-discrepancy report; byte-deterministic across runs.
+    engine-discrepancy report; byte-deterministic across runs.  Returns
+    the number of rows of each panel's CSV, by panel name.
+
+    The panels are written one at a time: a panel's rows are released once
+    its CSV and SVG are written, and then its lines of the report, which
+    is ordered by panel, are appended.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    panels = figure_panels(out_dir)
     # one state and one moment table per engine for each distinct grid point,
-    # shared by every panel and the discrepancy report
+    # shared by the panels and the report lines that read its slice
     cache: dict = {}
-    results: dict[str, list[SweepRow]] = {}
-    for name, config in panels:
-        rows = _compute_rows(config, cache)
-        results[name] = rows
-        write_rows_csv(rows, out_dir / f"{name}.csv")
-        chart = render_line_chart(
-            _curves(rows),
-            title=name,
-            x_label="p",
-            y_label="witness value",
-        )
-        (out_dir / f"{name}.svg").write_text(chart)
-
-    with open(out_dir / "discrepancy_report.csv", "w", newline="") as handle:
-        handle.write(",".join(DISCREPANCY_HEADER) + "\n")
-        handle.writelines(_discrepancy_rows(panels, cache))
-    return results
+    kept = {}  # tails key -> the tails a later panel writes again
+    counts: dict[str, int] = {}
+    with open(out_dir / "discrepancy_report.csv", "w", newline="") as report:
+        report.write(",".join(DISCREPANCY_HEADER) + "\n")
+        for name, config, slices, done in _figure_plan(figure_panels(out_dir)):
+            rows = _compute_rows(config, cache)
+            counts[name] = len(rows)
+            write_rows_csv(rows, out_dir / f"{name}.csv")
+            chart = render_line_chart(
+                _curves(rows),
+                title=name,
+                x_label="p",
+                y_label="witness value",
+            )
+            (out_dir / f"{name}.svg").write_text(chart)
+            del rows  # released before the panel's report lines
+            head = name + ","
+            for key, grid, orders, again in slices:
+                tails = kept.pop(key, None)
+                if tails is None:
+                    tails = _slice_tails(cache, grid, orders)
+                if again:
+                    kept[key] = tails
+                if tails:
+                    report.writelines(head + tail + "\n" for tail in tails.split("\n"))
+            for grid in done:
+                del cache[grid]
+    return counts
 
 
 # --- summary classification table --------------------------------------------
@@ -740,8 +754,12 @@ def table1_report(
     through the requested engine (literal by default); the purely
     number-conserving witnesses are engine-independent.  Raises
     :class:`ConfigError` when no grid point is valid (for example an empty
-    q or M list), since every row would then read "No" on no evidence.
+    q or M list), since every row would then read "No" on no evidence, and
+    before any work when an M is over the slice budget of a sweep
+    (:func:`_check_slice_budget`).
     """
+    for total in m_values:
+        _check_slice_budget(p_grid[2], int(total))
     p_values = np.linspace(*p_grid).tolist()
     present = [False] * len(_TABLE_ROWS)
     minimum = [math.inf] * len(_TABLE_ROWS)

@@ -129,8 +129,18 @@ class Witness:
             raise ValueError(f"theta must be finite, and so must 2*theta, got {self.theta!r}")
         if self.kind == "epr" and self.form not in EPR_FORMS:
             raise ValueError(f"epr form must be one of {EPR_FORMS}, got {self.form!r}")
-        # hashed once: witnesses key the sweeps' per-slice results
-        object.__setattr__(self, "_hash", hash((self.kind, self.l, self.m, self.theta, self.form)))
+        # keyed and hashed once: witnesses key the sweeps' per-slice results.
+        # The key holds the sign of theta, so that sum:0.0 and sum:-0.0,
+        # which the label and the CSV tell apart, are two witnesses.
+        sign = None if self.theta is None else math.copysign(1.0, self.theta)
+        key = (self.kind, self.l, self.m, self.theta, self.form, sign)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash

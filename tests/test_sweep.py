@@ -366,6 +366,22 @@ def test_svg_labels_keep_the_sign_of_a_zero_theta(tmp_path):
     assert "sum:-0.0 q=" not in charts["sweep_sum_0p0.svg"]
 
 
+def test_svg_draws_a_curve_for_each_signed_zero_q(tmp_path):
+    # 0.0 == -0.0, yet the q = 0.0 and q = -0.0 slices are two curves of 9 points
+    out = tmp_path / "out"
+    assert main(["sweep", "--state", "ngbs", "--M", "10", "--q=-0.0,0.0,-0.01",
+                 "--p", "0.1:0.9:9", "--witness", "su11", "--engine", "both",
+                 "--format", "svg+csv", "--out", str(out)]) == 0
+    svg = (out / "sweep_su11.svg").read_text()
+    texts = [line.rpartition('">')[2].removesuffix("</text>")
+             for line in svg.splitlines() if line.endswith("</text>")]
+    legend = [text for text in texts if text.startswith("su11 q=")]
+    assert legend == [f"su11 q={q} [{engine}]" for q in ("-0.01", "-0", "0")
+                      for engine in ("literal", "oracle")]
+    polylines = [line for line in svg.splitlines() if line.startswith("<polyline")]
+    assert [line.count(",") for line in polylines] == [9] * 6
+
+
 # --- figure panels ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -622,6 +638,7 @@ def test_figures_compare_and_reduce_once_per_distinct_slice(monkeypatch, tmp_pat
 
     comparisons = Counter()
     reductions = Counter()
+    held = []  # so that no id is reused after a slice leaves the run's cache
     compare_engines, reduce_columns = sweep.compare_engines, sweep.reduce_columns
 
     def counted_compare(batch, specs, tables=None):
@@ -629,8 +646,8 @@ def test_figures_compare_and_reduce_once_per_distinct_slice(monkeypatch, tmp_pat
         return compare_engines(batch, specs, tables)
 
     def counted_reduce(witness, columns, engine):
-        # a slice's column lists live as long as the run's cache: the id of
-        # the first one tells the slices apart
+        # the id of a slice's first column list tells the slices apart
+        held.append(columns[0])
         reductions[(witness, engine, id(columns[0]), len(columns[0]))] += 1
         return reduce_columns(witness, columns, engine)
 
@@ -661,6 +678,55 @@ def test_figures_compare_and_reduce_once_per_distinct_slice(monkeypatch, tmp_pat
     assert Counter((witness, engine, rows) for witness, engine, _, rows in reductions) == (
         Counter((witness, engine, rows) for (_, _, witness, engine), rows in reduced.items()))
     assert {engine for _, engine, _, _ in reductions} == {Engine.LITERAL, Engine.ORACLE}
+
+
+def test_figures_drop_each_grid_slice_after_its_last_panel(monkeypatch, tmp_path):
+    import twomode.sweep as sweep
+
+    panels = figure_panels(tmp_path)
+    names = [name for name, _ in panels]
+    # the run cache's keys of the slices each panel computes and reports
+    named = [{("ngbs", config.total, q, tuple(config.p_values().tolist()))
+              for q in config.q_list} for _, config in panels]
+    builds = Counter()
+    caches = []  # the run's cache, as the panels' rows read it
+    seen = {}  # (panel, "start" or "csv") -> the cache's keys then
+    build, compute_rows_from, write_csv = sweep.ngbs, sweep._compute_rows, sweep.write_rows_csv
+
+    def counted_build(params):
+        builds[(params.total, params.p, params.q)] += 1
+        return build(params)
+
+    def computing(config, cache):
+        caches.append(cache)
+        seen[(names[len(caches) - 1], "start")] = set(cache)
+        return compute_rows_from(config, cache)
+
+    def writing(rows, path):
+        seen[(Path(path).stem, "csv")] = set(caches[-1])
+        return write_csv(rows, path)
+
+    monkeypatch.setattr(sweep, "ngbs", counted_build)
+    monkeypatch.setattr(sweep, "_compute_rows", computing)
+    monkeypatch.setattr(sweep, "write_rows_csv", writing)
+
+    counts = reproduce_figures(tmp_path)
+
+    # one cache for the run, and no state is built twice
+    assert len(caches) == len(panels) and all(cache is caches[0] for cache in caches)
+    assert sum(builds.values()) == len(builds) == 990
+    for index, name in enumerate(names):
+        earlier, later = set().union(*named[:index]), set().union(*named[index + 1:])
+        # a panel starts from the slices that it or a later panel reads again
+        assert seen[(name, "start")] == earlier & (named[index] | later), name
+        # and writes its CSV holding its own slices and those a later panel reads
+        assert seen[(name, "csv")] == named[index] | (earlier & later), name
+    assert caches[0] == {}
+    # the returned counts are the data lines of each panel's CSV
+    assert list(counts) == names
+    for name in names:
+        with open(tmp_path / f"{name}.csv") as handle:
+            assert counts[name] == sum(1 for _ in handle) - 1 > 0
 
 
 # --- CLI -----------------------------------------------------------------------------
@@ -788,6 +854,47 @@ def test_cli_compare_runs(capsys):
     out = capsys.readouterr().out
     assert "literal" in out and "oracle" in out
     assert len(out.splitlines()) == 2 + (9 + 8)  # header rows + specs
+
+
+def test_cli_compare_bounds_max_order_before_any_work(monkeypatch, capsys):
+    import twomode.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("compare ran")
+
+    for total, max_order in ((0, 6), (4, 6), (10, 11)):
+        monkeypatch.setattr(cli, "_build_state", no_work)
+        monkeypatch.setattr(cli, "compare_engines", no_work)
+        assert main(["compare", "--M", str(total), "--p", "0.5",
+                     "--max-order", str(max_order)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: --max-order must be at most max(M, 5) = {max(total, 5)}, got {max_order}")
+        monkeypatch.undo()
+    # the default order, and the bound itself, run at every M
+    for argv in (["--M", "0"], ["--M", "4"], ["--M", "4", "--max-order", "5"],
+                 ["--M", "10", "--max-order", "10"]):
+        assert main(["compare", "--p", "0.5", *argv]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_cli_table1_rejects_an_m_over_the_slice_budget(monkeypatch, capsys):
+    import twomode.sweep as sweep
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("table1 ran")
+
+    monkeypatch.setattr(sweep, "_grid_slice", no_work)
+    # 16 * 99 * (M + 1) bytes per q slice of the standard p grid
+    largest = MAX_SLICE_BYTES // (16 * STANDARD_P_GRID[2]) - 1
+    assert main(["table1", "--M", f"10,{largest + 1}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: p grid of 99 steps at M={largest + 1} needs")
+    # at the budget the table starts its work
+    with pytest.raises(AssertionError, match="table1 ran"):
+        main(["table1", "--M", str(largest)])
 
 
 def test_cli_compare_takes_every_fixed_total_family(capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -589,6 +590,30 @@ def test_witness_hash_is_cached_and_consistent():
     assert {witness: 1}[Witness("sum", theta=0.5)] == 1
     object.__setattr__(witness, "_hash", 12345)  # read back, not recomputed
     assert hash(witness) == 12345
+
+
+def test_a_slice_reduces_each_signed_zero_theta_once(monkeypatch):
+    # 0.0 == -0.0, yet sum:0.0 and sum:-0.0 are two witnesses: a slice keys
+    # and reduces each once, and each row's result carries its own witness
+    import twomode.sweep as sweep
+
+    reductions = Counter()
+    reduce = sweep.reduce_columns
+
+    def counted(witness, columns, engine):
+        reductions[(witness.label(), engine)] += 1
+        return reduce(witness, columns, engine)
+
+    monkeypatch.setattr(sweep, "reduce_columns", counted)
+    pair = (Witness("sum", theta=-0.0), Witness("sum", theta=0.0))
+    assert pair[0] != pair[1] and len({*pair}) == 2
+    p_values = tuple(np.linspace(0.1, 0.9, 9).tolist())
+    for p, state, tables in _grid_slice({}, "ngbs", 10, -0.01, p_values):
+        for witness in pair:
+            for engine in BOTH:
+                result = evaluate(state, witness, engine, tables[engine])
+                assert result.witness.label() == witness.label()
+    assert reductions == Counter((witness.label(), engine) for witness in pair for engine in BOTH)
 
 
 # --- roundoff guard margin at large M ------------------------------------------------
