@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .fock import MomentSpec
-from .moments import compare_engines
+from .moments import Engine, compare_engines
 from .states import InvalidParams, NormalizationAnomaly
 from .sweep import (
     FIXED_TOTAL_FAMILIES,
@@ -30,6 +30,7 @@ from .sweep import (
     reproduce_figures,
     run_sweep,
     _build_state,
+    _check_budget,
     table1_report,
 )
 
@@ -133,6 +134,7 @@ def _cmd_compare(args) -> int:
     if args.max_order > bound:
         raise ConfigError(f"--max-order must be at most max(M, {DEFAULT_MAX_ORDER}) = {bound}, "
                           f"got {args.max_order}: every exponent above M gives an empty series")
+    _check_budget(args.state, args.total, (args.p, args.p, 1), (Engine.LITERAL, Engine.ORACLE))
     state = _build_state(args.state, args.total, args.p, args.q)
 
     # in print order: mode 1, then mode 2 without its copy of the identity

@@ -29,8 +29,9 @@ either grid; the grid ``np.vdot`` would give the same ``0j``.  Every other
 moment, and every moment of a ``TwoModeState``, goes through the grids.
 
 ``moment_oracle`` also takes a :class:`MomentBatch`, the ``(P, M+1)`` stack
-of P fixed-total states of one M, and gives one value per row, the value,
-type and sign of zero of the call on that row's state alone.  The support
+of P fixed-total states of one M, and returns a ``complex128`` array of
+shape ``(P,)``: row i holds the float and sign of zero of the call on state
+i alone.  The support
 of the whole stack is scaled by the cached ladder weights at once (a complex
 value times a real weight rounds the same in any numpy loop), then each row
 is scattered into one reused ``(M+1, M+1)`` grid per side and reduced by the
@@ -70,7 +71,7 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TwoModeState:
     """Amplitude grid ``amps[n1, n2]`` with 0 <= n_i <= cutoff_i.
 
@@ -108,7 +109,7 @@ class TwoModeState:
         return abs(self.norm - 1.0) <= tol
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FixedTotalState:
     """State ``sum_n c[n] |n>|M-n>`` with M total photons shared by two modes.
 
@@ -154,9 +155,9 @@ class MomentBatch(NamedTuple):
 
     Row i of ``amplitudes``, shape ``(P, M+1)``, holds the ``c_n`` of state
     i.  :func:`moment_oracle`, :func:`twomode.moments.literal_moment` and the
-    series functions take a batch in place of a state and return a list with
-    one value per row, each the value the state alone gives: same float,
-    same type, same sign of zero.
+    series functions take a batch in place of a state and return a
+    ``complex128`` array of shape ``(P,)``, row i the value state i alone
+    gives: same float, same sign of zero.
     """
 
     total: int
@@ -323,10 +324,11 @@ def _lowered_grid(state, mode1: int, mode2: int) -> np.ndarray:
     return grid
 
 
-def _batch_oracle(batch: MomentBatch, spec: MomentSpec) -> list:
+def _batch_oracle(batch: MomentBatch, spec: MomentSpec) -> np.ndarray:
     """:func:`moment_oracle` on each row of a batch (module docstring)."""
+    values = np.zeros(len(batch.amplitudes), dtype=complex)
     if not spec.conserving:
-        return [0j] * len(batch.amplitudes)
+        return values
     m = batch.total
     sides = [(spec.j, spec.r)]
     if (spec.k, spec.s) != (spec.j, spec.r):
@@ -336,12 +338,11 @@ def _batch_oracle(batch: MomentBatch, spec: MomentSpec) -> list:
         vals, rows, cols = _lowered_support(batch.amplitudes, m, mode1, mode2)
         images.append((np.zeros((m + 1, m + 1), dtype=complex), rows, cols, vals))
     bra, ket = images[0][0], images[-1][0]
-    values = []
-    for row in range(len(batch.amplitudes)):
+    for row in range(len(values)):
         # every row fills the same cells, so the rest of each grid stays zero
         for grid, rows, cols, vals in images:
             grid[rows, cols] = vals[row]
-        values.append(complex(np.vdot(bra, ket)))
+        values[row] = np.vdot(bra, ket)
     return values
 
 
@@ -365,8 +366,8 @@ def moment_oracle(state, spec: MomentSpec):
     (the total-photon selection rule), so the ``np.vdot`` adds only exact
     zeros to accumulators that start at +0 and gives ``0j`` too.
 
-    A :class:`MomentBatch` in place of the state gives a list of one value
-    per row, each the value of that row's state.
+    A :class:`MomentBatch` in place of the state gives a ``complex128``
+    array with one value per row, each the value of that row's state.
     """
     if isinstance(state, MomentBatch):
         return _batch_oracle(state, spec)

@@ -48,17 +48,18 @@ scalar product does not, so ``conj(c[bra]) * c[ket]`` can differ from a
 scalar loop in the last bit on CPUs with FMA.
 
 The kernel works on the last axis, so the literal engine also takes a
-:class:`MomentBatch`, the ``(P, M+1)`` stack of P states of one M, and gives
-one value per row; the sweeps use it to compute each moment once per q slice
-of their p grid.  Row i is the value, type (``np.complex128``, or Python
-``0j`` for an empty series) and sign of zero of the call on state i alone:
+:class:`MomentBatch`, the ``(P, M+1)`` stack of P states of one M, and
+returns a ``complex128`` array of shape ``(P,)``; the sweeps use it to
+compute each moment once per q slice of their p grid.  Row i holds the float
+and sign of zero of the call on state i alone:
 
 - the plan and its weights do not depend on the amplitudes;
 - the gather and both products are elementwise, and the same numpy loops
   run over a stack as over one row (checked exactly, complex rows included,
   in ``tests/test_moments.py``);
 - ``cumsum(axis=-1)`` adds each row in index order, as the 1-D ``cumsum``
-  does, and the ``0j`` start is added per row;
+  does, and the ``0j`` start is added per row; an empty series gives
+  ``+0.0+0.0j`` rows, the single call's ``0j``;
 - the product of two single-mode series for a number-changing cross moment
   is taken row by row with the scalar ``*``: numpy's vector complex
   multiply gives other bits on complex amplitudes.
@@ -165,9 +166,9 @@ def _series_plan(kind: str, total: int, exponents: tuple[int, ...]):
 
 
 def _zero(state):
-    """The value of an empty series: ``0j``, or a list of one per row of a batch."""
+    """The value of an empty series: ``0j``, or a zero per row of a batch."""
     if isinstance(state, MomentBatch):
-        return [0.0 + 0.0j] * len(state.amplitudes)
+        return np.zeros(len(state.amplitudes), dtype=complex)
     return 0.0 + 0.0j
 
 
@@ -175,7 +176,7 @@ def _series(state, kind: str, exponents: tuple[int, ...]):
     """Sum ``conj(c[bra]) * c[ket] * w`` over a cached plan, in index order.
 
     Works on the last axis of the amplitudes, so a :class:`MomentBatch`
-    gives a list of one value per row, each the value its row alone gives.
+    gives an array of one value per row, each the value its row alone gives.
     Adding the ``cumsum`` total to ``0j`` gives a running sum started at
     ``0j``, so even an all-zero sum has the sign of the scalar loop's.
     """
@@ -183,8 +184,7 @@ def _series(state, kind: str, exponents: tuple[int, ...]):
     if not len(w):
         return _zero(state)
     c = state.amplitudes
-    sums = (0.0 + 0.0j) + (np.conj(c[..., bra]) * c[..., ket] * w).cumsum(axis=-1)[..., -1]
-    return list(sums) if isinstance(state, MomentBatch) else sums
+    return (0.0 + 0.0j) + (np.conj(c[..., bra]) * c[..., ket] * w).cumsum(axis=-1)[..., -1]
 
 
 def mode1_moment(state, daggers: int, lowers: int):
@@ -228,8 +228,8 @@ def literal_moment(state, spec: MomentSpec):
     number-conserving specs use the exact joint closed form; mixed
     number-changing specs factorize into the product of the two single-mode
     series (the only nonzero value the series machinery can assign them).
-    A :class:`MomentBatch` in place of the state gives a list of one value
-    per row, each the value of that row's state.
+    A :class:`MomentBatch` in place of the state gives a ``complex128``
+    array of one value per row, each the value of that row's state.
     """
     if not isinstance(state, (FixedTotalState, MomentBatch)):
         raise TypeError("the literal engine requires a fixed-total state")
@@ -245,7 +245,7 @@ def literal_moment(state, spec: MomentSpec):
     second = mode2_moment(state, spec.r, spec.s)
     if isinstance(state, MomentBatch):
         # scalar products, row by row, as the states alone multiply them
-        return [a * b for a, b in zip(first, second)]
+        return np.array([a * b for a, b in zip(first, second)], dtype=complex)
     return first * second
 
 
@@ -253,7 +253,7 @@ def expectation(state, spec: MomentSpec, engine: Engine):
     """Evaluate a moment under the chosen engine.
 
     The oracle accepts any state; the literal engine is only defined for
-    fixed-total states.  Both take a :class:`MomentBatch` and give a list.
+    fixed-total states.  Both take a :class:`MomentBatch` and give an array.
     """
     if engine is Engine.ORACLE:
         return moment_oracle(state, spec)
@@ -263,8 +263,10 @@ def expectation(state, spec: MomentSpec, engine: Engine):
 class MomentReport(NamedTuple):
     """Side-by-side literal/oracle values for one moment.
 
-    For a :class:`MomentBatch` the three values are lists, one entry per
-    row; ``degenerate`` depends only on M and the spec, so it stays one flag.
+    For a :class:`MomentBatch` the two values are ``complex128`` arrays and
+    ``abs_discrepancy`` a ``float64`` array, each of shape ``(P,)``; row i
+    holds the float and sign of zero of the report on state i alone.
+    ``degenerate`` depends only on M and the spec, so it stays one flag.
     """
 
     spec: MomentSpec
@@ -281,7 +283,7 @@ def compare_engines(state, specs, tables=None) -> list[MomentReport]:
     those are the ones the literal series define directly.  The degenerate
     flag marks specs whose series bounds cross (empty sum returned as 0).
     A :class:`MomentBatch` in place of the state gives reports whose values
-    are per-row lists, row i the report of that row's state alone.
+    are per-row arrays, row i the report of that row's state alone.
 
     ``tables`` maps each engine to the caller's moment table for this state
     (for a batch, a dict from spec to column): specs missing from the
@@ -309,9 +311,10 @@ def compare_engines(state, specs, tables=None) -> list[MomentReport]:
             degenerate = mode1_sum_empty(state.total, spec.j, spec.k)
         else:
             degenerate = mode2_sum_empty(state.total, spec.r, spec.s)
-        # the scalar difference, row by row for a batch, as each state takes it
+        # the scalar difference, row by row for a batch, as each state takes
+        # it: np.abs rounds complex moduli differently
         if isinstance(state, MomentBatch):
-            gap = [abs(a - b) for a, b in zip(lit, ora)]
+            gap = np.array([abs(a - b) for a, b in zip(lit, ora)], dtype=float)
         else:
             gap = abs(lit - ora)
         reports.append(MomentReport(spec, lit, ora, gap, degenerate))

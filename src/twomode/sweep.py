@@ -74,8 +74,8 @@ STANDARD_Q = (-0.01, -0.005, 0.0, 0.005, 0.01, 0.1)
 STANDARD_P_GRID = (0.01, 0.99, 99)
 HOA_ORDER_SET = ((2, 2), (5, 1), (9, 1))
 
-# the largest MomentBatch a sweep config may ask for: one q slice of the p
-# grid stacked as complex amplitudes, 16 * steps * (M + 1) bytes
+# the most memory one q slice of a sweep, table1 or compare may ask for
+# (see _check_budget)
 MAX_SLICE_BYTES = 1 << 24
 
 
@@ -83,14 +83,41 @@ class ConfigError(Exception):
     """Sweep configuration is structurally invalid."""
 
 
-def _check_slice_budget(steps: int, total: int) -> None:
-    """Raise :class:`ConfigError` when one q slice of a ``steps``-point p
-    grid at M = ``total`` would need a batch over ``MAX_SLICE_BYTES``."""
-    slice_bytes = 16 * steps * (total + 1)
-    if slice_bytes > MAX_SLICE_BYTES:
+def _coherent_cutoff(total: int, p: float) -> int:
+    """Per-mode cutoff of the ``coherent`` family's state at (M, p)."""
+    mean1, mean2 = p * total, (1.0 - p) * total
+    return int(math.ceil(10.0 * max(mean1, mean2, 1.0) + 10.0))
+
+
+def _check_budget(family: str, total: int, p_grid: tuple, engines) -> None:
+    """Raise :class:`ConfigError` when one q slice of the ``p_grid =
+    (start, end, steps)`` grid at M = ``total`` would need more than
+    ``MAX_SLICE_BYTES`` of complex amplitudes; nothing is allocated here.
+
+    A slice counts its batch, 16 * steps * (M + 1) bytes (``coherent``
+    stacks none, but the term bounds its p grid all the same); when the
+    oracle runs, the two images it reduces, each a grid of 16 * side^2
+    bytes; and for the ``coherent`` family, the state's own grid of that
+    size.  The side is M + 1 for the fixed-total families and the coherent
+    cutoff + 1, taken at the p of the grid farthest from 0.5 (clamped to
+    [0, 1], where a state is built), for ``coherent``.
+    """
+    start, end, steps = p_grid
+    side = max(total + 1, 0)  # a negative M builds no state
+    needed = 16 * steps * side
+    grids = 2 if Engine.ORACLE in engines else 0
+    # within the batch's budget M is small enough for the float cutoff
+    if family == "coherent" and needed <= MAX_SLICE_BYTES:
+        side = max(_coherent_cutoff(total, min(max(p, 0.0), 1.0)) for p in (start, end)) + 1
+        grids += 1
+    needed += grids * 16 * side * side
+    if needed > MAX_SLICE_BYTES:
+        where, per = (f"p grid of {steps} steps", " per q slice") if steps > 1 else (
+            f"p={start!r}", "")
         raise ConfigError(
-            f"p grid of {steps} steps at M={total} needs {slice_bytes} bytes "
-            f"per q slice, over the budget of {MAX_SLICE_BYTES} bytes"
+            f"{where} at M={total} needs {needed} bytes{per} for the {family} family "
+            f"under {'+'.join(e.value for e in engines)}, over the budget of "
+            f"{MAX_SLICE_BYTES} bytes"
         )
 
 
@@ -150,7 +177,6 @@ class SweepConfig:
             raise ConfigError(f"p grid needs steps >= 2, got {steps}")
         if not start < end:
             raise ConfigError(f"p grid needs start < end, got {start!r}..{end!r}")
-        _check_slice_budget(steps, self.total)
         if not self.witnesses:
             raise ConfigError("witness list must not be empty")
         if not self.engines:
@@ -160,6 +186,7 @@ class SweepConfig:
                 "the literal engine requires a fixed-total state family; "
                 "use engine=oracle with the coherent family"
             )
+        _check_budget(self.state_family, self.total, self.p_grid, self.engines)
         if self.output_format not in ("csv", "svg+csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
 
@@ -269,9 +296,8 @@ def _build_state(family: str, total: int, p: float, q: float):
     if family == "coherent":
         if not 0.0 <= p <= 1.0:
             raise InvalidParams(f"p must lie in [0, 1], got {p!r}")
-        mean1, mean2 = p * total, (1.0 - p) * total
-        cutoff = int(math.ceil(10.0 * max(mean1, mean2, 1.0) + 10.0))
-        return coherent_product(math.sqrt(mean1), math.sqrt(mean2), cutoff)
+        return coherent_product(math.sqrt(p * total), math.sqrt((1.0 - p) * total),
+                                _coherent_cutoff(total, p))
     raise ConfigError(f"unknown state family {family!r}")
 
 
@@ -284,8 +310,9 @@ class _LiteralSlice:
     call time, so that a wrapper sees them), and the results of a (witness,
     engine) by one :func:`~twomode.witnesses.reduce_columns` over that
     engine's columns.  Results are released once each row has read its
-    own.  Row i is what state i gives alone.  ``columns`` maps each engine
-    to its columns by spec: the ``tables`` that
+    own.  ``columns`` maps each engine to its columns by spec, each a
+    ``complex128`` array of shape ``(P,)`` whose row i holds the float and
+    sign of zero that state i gives alone: the ``tables`` that
     :func:`~twomode.moments.compare_engines` takes with the batch.
     """
 
@@ -298,7 +325,7 @@ class _LiteralSlice:
     def batch(self) -> moments.MomentBatch:
         return moments.MomentBatch.stack(self._states)
 
-    def column(self, engine: Engine, spec: MomentSpec) -> list:
+    def column(self, engine: Engine, spec: MomentSpec) -> np.ndarray:
         columns = self.columns[engine]
         column = columns.get(spec)
         if column is None:
@@ -336,6 +363,8 @@ class _RowTables(dict):
     """``{engine: table}`` of the fixed-total state in row ``row`` of
     ``literal_slice``, each table made the first time it is asked for, so
     that a run on the literal engine alone builds no oracle view."""
+
+    __slots__ = ("literal_slice", "row")
 
     def __init__(self, literal_slice: _LiteralSlice, row: int):
         super().__init__()
@@ -756,10 +785,10 @@ def table1_report(
     :class:`ConfigError` when no grid point is valid (for example an empty
     q or M list), since every row would then read "No" on no evidence, and
     before any work when an M is over the slice budget of a sweep
-    (:func:`_check_slice_budget`).
+    (:func:`_check_budget`).
     """
     for total in m_values:
-        _check_slice_budget(p_grid[2], int(total))
+        _check_budget("ngbs", int(total), p_grid, (engine,))
     p_values = np.linspace(*p_grid).tolist()
     present = [False] * len(_TABLE_ROWS)
     minimum = [math.inf] * len(_TABLE_ROWS)

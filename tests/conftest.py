@@ -56,3 +56,14 @@ def signed_zero_states(rng, total, rows, complex_amps):
             vec[zeros] = sign[zeros]
         states.append(FixedTotalState(total, vec / np.linalg.norm(vec)))
     return states
+
+
+def assert_column_rows(column, singles, dtype=np.complex128, context=None):
+    """``column`` is a ``dtype`` array of shape ``(len(singles),)`` whose row i
+    is ``singles[i]``, the single-state call's value, bit for bit: ``repr``
+    of the Python number tells the sign of a zero in either part."""
+    convert = complex if dtype == np.complex128 else float
+    assert isinstance(column, np.ndarray), context
+    assert (column.dtype, column.shape) == (dtype, (len(singles),)), context
+    for row, (got, want) in enumerate(zip(column, singles)):
+        assert repr(convert(got)) == repr(convert(want)), (context, row)

@@ -25,7 +25,7 @@ from twomode import (
 )
 from twomode.sweep import _DIAGNOSTIC_SPECS, STANDARD_Q
 
-from conftest import random_fixed_total, random_grid_state, signed_zero_states
+from conftest import assert_column_rows, random_fixed_total, random_grid_state, signed_zero_states
 
 
 def test_log_factorial_base_cases():
@@ -209,14 +209,8 @@ _SPECS_TO_3 = [MomentSpec(*e) for e in itertools.product(range(4), repeat=4)]
 def _assert_batch_rows_equal_states(states):
     batch = MomentBatch.stack(states)
     for spec in _SPECS_TO_3:
-        values = moment_oracle(batch, spec)
-        assert isinstance(values, list) and len(values) == len(states)
-        for state, got in zip(states, values):
-            want = moment_oracle(state, spec)
-            assert type(got) is type(want) and got == want, (spec, state)
-            for part in ("real", "imag"):
-                sign = math.copysign(1.0, getattr(got, part))
-                assert sign == math.copysign(1.0, getattr(want, part)), (spec, part)
+        assert_column_rows(moment_oracle(batch, spec),
+                           [moment_oracle(state, spec) for state in states], context=spec)
 
 
 @pytest.mark.parametrize("total", [0, 5, 20, 100])
@@ -299,6 +293,20 @@ def test_two_mode_state_is_immutable():
     state = fock_pair(1, 1)
     with pytest.raises(ValueError):
         state.amps[0, 0] = 5.0
+
+
+def test_states_are_slotted_frozen_and_replaceable():
+    # no instance dict per state, and the dataclass contract stays
+    fixed = FixedTotalState(1, np.array([0.6, 0.8]))
+    for state, field in ((fixed, "amplitudes"), (fock_pair(1, 1), "amps")):
+        assert not hasattr(state, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, field, None)
+    moved = dataclasses.replace(fixed, amplitudes=[0.8, 0.6])
+    assert moved.total == 1 and moved.amplitudes.tolist() == [0.8, 0.6]
+    assert not moved.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        dataclasses.replace(fixed, total=2)
 
 
 def test_moment_spec_validation_and_imbalance():

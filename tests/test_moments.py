@@ -25,7 +25,7 @@ from twomode.moments import mode1_sum_empty, mode2_sum_empty
 from twomode.sweep import STANDARD_Q
 from twomode.witnesses import DEFAULT_THETAS, Witness
 
-from conftest import random_fixed_total, signed_zero_states
+from conftest import assert_column_rows, random_fixed_total, signed_zero_states
 
 
 def one_photon_mode1():
@@ -279,12 +279,8 @@ def _assert_rows_equal_states(states, specs):
     batch = MomentBatch.stack(states)
     assert batch.amplitudes.shape == (len(states), states[0].total + 1)
     for spec in specs:
-        column = literal_moment(batch, spec)
-        assert isinstance(column, list) and len(column) == len(states)
-        for state, value in zip(states, column):
-            alone = literal_moment(state, spec)
-            # repr tells the sign of a zero in either part
-            assert (type(value), repr(value)) == (type(alone), repr(alone)), (spec, state)
+        assert_column_rows(literal_moment(batch, spec),
+                           [literal_moment(state, spec) for state in states], context=spec)
 
 
 @given(
@@ -313,12 +309,15 @@ def test_batch_rows_equal_single_state_calls_on_complex_states(rng, total):
     _assert_rows_equal_states(signed_zero_states(rng, total, 6, True), _batch_specs(total))
 
 
-def test_batch_empty_plans_give_python_zero():
-    batch = MomentBatch.stack([binomial_state(2, 0.5), binomial_state(2, 0.25)])
-    for column in (literal_moment(batch, MomentSpec(3, 3, 0, 0)),
-                   literal_moment(batch, MomentSpec(0, 0, 0, 3)),
-                   cross_moment(batch, MomentSpec(0, 1, 0, 1))):
-        assert [(type(v), repr(v)) for v in column] == [(complex, "0j")] * 2
+def test_batch_empty_plans_give_positive_zero_rows():
+    states = [binomial_state(2, 0.5), binomial_state(2, 0.25)]
+    batch = MomentBatch.stack(states)
+    for call, spec in ((literal_moment, MomentSpec(3, 3, 0, 0)),
+                       (literal_moment, MomentSpec(0, 0, 0, 3)),
+                       (cross_moment, MomentSpec(0, 1, 0, 1))):
+        # each single call gives the Python 0j, +0.0 in both parts
+        assert [repr(call(state, spec)) for state in states] == ["0j"] * 2
+        assert_column_rows(call(batch, spec), [0j, 0j], context=spec)
 
 
 def test_batch_stack_rejects_mixed_totals():
@@ -411,14 +410,18 @@ def test_compare_engines_batch_rows_equal_states(rng, kind, total):
         states = signed_zero_states(rng, total, 6, True)
     tables = {}
     reports = compare_engines(MomentBatch.stack(states), specs, tables)
-    for row, state in enumerate(states):
-        for report, alone in zip(reports, compare_engines(state, specs), strict=True):
-            assert (report.spec, report.degenerate) == (alone.spec, alone.degenerate)
-            for got, want in ((report.literal_value[row], alone.literal_value),
-                              (report.oracle_value[row], alone.oracle_value),
-                              (report.abs_discrepancy[row], alone.abs_discrepancy)):
-                # repr tells the sign of a zero in either part
-                assert (type(got), repr(got)) == (type(want), repr(want)), (report.spec, row)
+    alone = [compare_engines(state, specs) for state in states]
+    assert {len(reports_alone) for reports_alone in alone} == {len(reports)}
+    for index, report in enumerate(reports):
+        singles = [reports_alone[index] for reports_alone in alone]
+        assert {(one.spec, one.degenerate) for one in singles} == {
+            (report.spec, report.degenerate)}
+        assert_column_rows(report.literal_value, [one.literal_value for one in singles],
+                           context=report.spec)
+        assert_column_rows(report.oracle_value, [one.oracle_value for one in singles],
+                           context=report.spec)
+        assert_column_rows(report.abs_discrepancy, [one.abs_discrepancy for one in singles],
+                           np.float64, report.spec)
     assert tables[Engine.LITERAL] == {r.spec: r.literal_value for r in reports}
     assert tables[Engine.ORACLE] == {r.spec: r.oracle_value for r in reports}
 

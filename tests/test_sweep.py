@@ -114,6 +114,81 @@ def test_cli_sweep_rejects_a_slice_over_the_byte_budget(monkeypatch, tmp_path, c
     assert not out.exists()
 
 
+# the largest M of each engine on the 99-point p grid, as README states them
+_BUDGET_LIMITS = (
+    ("ngbs", "literal", 10_590),
+    ("ngbs", "oracle", 698),
+    ("binomial", "both", 698),
+    ("coherent", "oracle", 58),
+)
+
+
+@pytest.mark.parametrize("family, engine, largest", _BUDGET_LIMITS)
+def test_cli_sweep_budget_counts_the_oracle_grids_and_the_coherent_grid(
+        monkeypatch, tmp_path, capsys, family, engine, largest):
+    import twomode.cli as cli
+
+    def no_run(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_run)
+    argv = ["sweep", "--state", family, "--q", "0", "--p", "0.01:0.99:99", "--witness", "sv",
+            "--engine", engine, "--out", str(tmp_path / "out")]
+    # at the limit the sweep starts its work
+    with pytest.raises(AssertionError, match="the sweep ran"):
+        main([*argv, "--M", str(largest)])
+    assert main([*argv, "--M", str(largest + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: p grid of 99 steps at M={largest + 1} needs")
+    assert captured.err.rstrip().endswith(f"over the budget of {MAX_SLICE_BYTES} bytes")
+    # an M past any float is rejected by its batch alone
+    assert main([*argv, "--M", "1" + "0" * 400]) == 1
+    assert capsys.readouterr().err.startswith("error: p grid of 99 steps at M=1000")
+
+
+def test_table1_report_counts_the_oracle_grids_before_any_work(monkeypatch):
+    import twomode.sweep as sweep
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("table1 ran")
+
+    monkeypatch.setattr(sweep, "_grid_slice", no_work)
+    with pytest.raises(ConfigError, match="p grid of 99 steps at M=699 needs"):
+        table1_report(m_values=(10, 699), engine=Engine.ORACLE)
+    with pytest.raises(AssertionError, match="table1 ran"):
+        table1_report(m_values=(698,), engine=Engine.ORACLE)
+
+
+def test_sweep_slices_hold_array_columns_and_states_without_dicts(tmp_path):
+    # the memory layout of a sweep's cache: each moment column of a slice is
+    # one complex128 array, under either engine and for every kind of moment
+    # (an empty series, a product of series, the oracle's zeros and grids),
+    # and no state or row table carries an instance dict
+    from twomode.sweep import _compute_rows
+
+    witnesses = (Witness("hoa", l=9, m=1), Witness("sv"), Witness("quadx"))
+    config = small_config(tmp_path, witnesses=witnesses)
+    cache = {}
+    _compute_rows(config, cache)
+    slices = {}
+    for points in cache.values():
+        for _, state, tables in points:
+            if state is not None:
+                assert not hasattr(state, "__dict__")
+                assert not hasattr(tables, "__dict__")
+                slices[id(tables.literal_slice)] = tables.literal_slice
+    assert len(slices) == len(config.q_list)
+    for grid_slice in slices.values():
+        rows = len(grid_slice.batch.amplitudes)
+        for engine in config.engines:
+            columns = grid_slice.columns[engine]
+            assert set(columns) == {spec for witness in witnesses for spec in witness.specs}
+            for spec, column in columns.items():
+                assert isinstance(column, np.ndarray), spec
+                assert (column.dtype, column.shape) == (np.complex128, (rows,)), spec
+
+
 def test_config_rejects_literal_engine_for_coherent(tmp_path):
     with pytest.raises(ConfigError):
         small_config(
@@ -895,6 +970,23 @@ def test_cli_table1_rejects_an_m_over_the_slice_budget(monkeypatch, capsys):
     # at the budget the table starts its work
     with pytest.raises(AssertionError, match="table1 ran"):
         main(["table1", "--M", str(largest)])
+
+
+def test_cli_compare_counts_both_engines_against_the_budget(monkeypatch, capsys):
+    import twomode.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("compare ran")
+
+    monkeypatch.setattr(cli, "_build_state", no_work)
+    monkeypatch.setattr(cli, "compare_engines", no_work)
+    # one state under both engines: its amplitudes and the oracle's two grids
+    with pytest.raises(AssertionError, match="compare ran"):
+        main(["compare", "--M", "722", "--p", "0.5"])
+    assert main(["compare", "--M", "723", "--p", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: p=0.5 at M=723 needs")
 
 
 def test_cli_compare_takes_every_fixed_total_family(capsys):

@@ -502,9 +502,10 @@ def _random_columns(rng, witness, rows):
     """Columns of random moments of every magnitude, one per spec of ``witness``.
 
     Parts are 0.0 or -0.0 a fifth of the time, and a tenth of the values
-    are Python ``0j``: the literal engine gives np.complex128 values, and
-    ``0j`` for an empty plan.  A spec taken twice (``hoa:1,1`` takes
-    ``<n1 n2>`` twice) gets one column.
+    are Python ``0j``, the value a single state's empty plan gives: a
+    column may be any sequence, not only the engines' ``complex128``
+    arrays.  A spec taken twice (``hoa:1,1`` takes ``<n1 n2>`` twice) gets
+    one column.
     """
     by_spec = {}
     for spec in witness.specs:
