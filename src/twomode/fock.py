@@ -5,7 +5,7 @@ Two state containers are provided:
 - ``TwoModeState``: a complex amplitude grid ``amps[n1, n2]`` on a truncated
   two-mode Fock lattice.
 - ``FixedTotalState``: an amplitude vector over the fixed-total-photon basis
-  ``|n>|M-n>``; it embeds losslessly into a ``TwoModeState``.
+  ``|n>|M-n>``.
 
 ``moment_oracle`` evaluates an arbitrary normally ordered moment
 ``<a1^dag^j a1^k a2^dag^r a2^s>`` by splitting the operator string at the
@@ -15,28 +15,25 @@ up to floating-point rounding for any finite state; no dense operator
 matrices are built.
 
 The oracle scales the stored amplitudes by ``sqrt(n)`` one ladder step at a
-time instead of building a validated ``TwoModeState`` per step, then takes
-the same grid ``np.vdot`` as :func:`inner_product`.  It is equal, bit for
-bit, to chaining :func:`apply_ladder` and :func:`inner_product`, which stay
-as public API and as its test reference: the engine discrepancy report of
-``twomode figures`` holds rounding residue (up to about 1e-6), and its
-values reproduce only if every product and the BLAS reduction layout of the
-sum stay the same.
-
-On a fixed-total state a number-changing moment is zero by the total-photon
-selection rule, and ``moment_oracle`` returns ``0j`` for it without building
-either grid; the grid ``np.vdot`` would give the same ``0j``.  Every other
-moment, and every moment of a ``TwoModeState``, goes through the grids.
+time, then reduces the two images with one grid ``np.vdot``.  Its test
+reference is a chain of single ladder operators on validated grid states and
+a zero-padded inner product (``tests/conftest.py``), and it equals that
+chain bit for bit: the engine discrepancy report of ``twomode figures``
+holds rounding residue (up to about 1e-6), and its values reproduce only if
+every product and the BLAS reduction layout of the sum stay the same.
 
 ``moment_oracle`` also takes a :class:`MomentBatch`, the ``(P, M+1)`` stack
 of P fixed-total states of one M, and returns a ``complex128`` array of
 shape ``(P,)``: row i holds the float and sign of zero of the call on state
-i alone.  The support
-of the whole stack is scaled by the cached ladder weights at once (a complex
-value times a real weight rounds the same in any numpy loop), then each row
-is scattered into one reused ``(M+1, M+1)`` grid per side and reduced by the
-same grid ``np.vdot``: the grid a row gets holds what the single state's
-grid holds, and only one grid per side is ever allocated, not one per row.
+i alone.  A single fixed-total state goes through the same code as a
+one-row batch.  The support of the whole stack is scaled by the cached
+ladder weights at once (a complex value times a real weight rounds the same
+in any numpy loop), then each row is scattered into one reused ``(M+1,
+M+1)`` grid per side and reduced by the grid ``np.vdot``: only one grid per
+side is ever allocated, not one per row.  A number-changing spec gives
+zeros without any grid: by the total-photon selection rule the two images
+lie on different anti-diagonals, and the ``np.vdot`` would add only exact
+zeros to accumulators that start at +0.
 """
 
 import functools
@@ -51,8 +48,6 @@ __all__ = [
     "MomentBatch",
     "MomentSpec",
     "TwoModeState",
-    "apply_ladder",
-    "inner_product",
     "log_factorial",
     "moment_oracle",
 ]
@@ -77,7 +72,7 @@ class TwoModeState:
 
     The raw constructor only checks finiteness; use :meth:`normalized` (or a
     state constructor from :mod:`twomode.states`) for unit-norm states.
-    Ladder operations intentionally produce unnormalized grids.
+    Unnormalized grids are allowed: a ladder operator produces one.
     """
 
     amps: np.ndarray
@@ -104,9 +99,6 @@ class TwoModeState:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return abs(self.norm - 1.0) <= tol
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -141,13 +133,6 @@ class FixedTotalState:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    def to_two_mode(self) -> TwoModeState:
-        """Embed into a TwoModeState grid with entry (n, M-n) = c[n]."""
-        m = self.total
-        grid = np.zeros((m + 1, m + 1), dtype=complex)
-        grid[np.arange(m + 1), m - np.arange(m + 1)] = self.amplitudes
-        return TwoModeState(grid)
 
 
 class MomentBatch(NamedTuple):
@@ -205,74 +190,12 @@ class MomentSpec:
         return MomentSpec(self.k, self.j, self.s, self.r)
 
 
-def _as_grid(state) -> TwoModeState:
-    if isinstance(state, FixedTotalState):
-        return state.to_two_mode()
-    return state
-
-
-def apply_ladder(
-    state: TwoModeState,
-    mode: int,
-    kind: str,
-) -> TwoModeState:
-    """Apply a single creation or annihilation operator to one mode.
-
-    Standard actions ``a|n> = sqrt(n)|n-1>`` and ``a^dag|n> = sqrt(n+1)|n+1>``
-    applied entrywise to the grid; creation grows the grid by one row or
-    column, so no amplitude is lost.  The result is unnormalized.
-
-    Parameters
-    ----------
-    mode : int
-        1 or 2.
-    kind : str
-        ``"create"`` or ``"annihilate"``.
-    """
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    if kind not in ("create", "annihilate"):
-        raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-    grid = _as_grid(state).amps
-    axis = mode - 1
-    if axis == 1:
-        grid = grid.T
-    n_max = grid.shape[0] - 1
-
-    if kind == "annihilate":
-        out = np.zeros_like(grid)
-        if n_max >= 1:
-            weights = np.sqrt(np.arange(1, n_max + 1, dtype=float))
-            out[:-1, :] = grid[1:, :] * weights[:, None]
-    else:
-        out = np.zeros((n_max + 2, grid.shape[1]), dtype=complex)
-        weights = np.sqrt(np.arange(1, n_max + 2, dtype=float))
-        out[1:, :] = grid * weights[:, None]
-
-    if axis == 1:
-        out = out.T
-    return TwoModeState(out)
-
-
-def inner_product(bra, ket) -> complex:
-    """Return ``<bra|ket>`` with grids zero-padded to common cutoffs."""
-    a = _as_grid(bra).amps
-    b = _as_grid(ket).amps
-    rows = max(a.shape[0], b.shape[0])
-    cols = max(a.shape[1], b.shape[1])
-    if a.shape != (rows, cols):
-        a = np.pad(a, ((0, rows - a.shape[0]), (0, cols - a.shape[1])))
-    if b.shape != (rows, cols):
-        b = np.pad(b, ((0, rows - b.shape[0]), (0, cols - b.shape[1])))
-    return complex(np.vdot(a, b))
-
-
 @functools.lru_cache(maxsize=1024)
 def _ladder_plan(total: int, mode1: int, mode2: int):
     """Support, target cells and per-step ``sqrt(n)`` weights of
     ``a1^mode1 a2^mode2`` on the fixed-total basis; shared by every state of
-    that M.  ``np.sqrt`` is correctly rounded, so these are the weights
-    :func:`apply_ladder` computes.
+    that M.  ``np.sqrt`` is correctly rounded, so these are the weights a
+    single ladder operator of the test reference chain applies.
     """
     n = np.arange(mode1, total - mode2 + 1)
     cells = (n, n - mode1, total - n - mode2)
@@ -289,9 +212,9 @@ def _lowered_support(amplitudes: np.ndarray, total: int, mode1: int, mode2: int)
 
     The amplitudes are scaled one ladder step at a time by ``sqrt(n)``, all
     mode-1 steps before the mode-2 steps, which is the product sequence of
-    repeated :func:`apply_ladder` calls; a complex value times a real weight
-    rounds the same in any numpy loop, so each entry is the same float for a
-    ``(P, M+1)`` stack as for one state.
+    the test reference's chain of single ladder operators; a complex value
+    times a real weight rounds the same in any numpy loop, so each entry is
+    the same float for a ``(P, M+1)`` stack as for one state.
     """
     (n, rows, cols), steps = _ladder_plan(total, mode1, mode2)
     vals = amplitudes[..., n]
@@ -300,20 +223,14 @@ def _lowered_support(amplitudes: np.ndarray, total: int, mode1: int, mode2: int)
     return vals, rows, cols
 
 
-def _lowered_grid(state, mode1: int, mode2: int) -> np.ndarray:
-    """Grid of ``a1^mode1 a2^mode2 |psi>``, as :func:`apply_ladder` builds it.
+def _lowered_grid(state: TwoModeState, mode1: int, mode2: int) -> np.ndarray:
+    """Grid of ``a1^mode1 a2^mode2 |psi>`` for a grid state, as the test
+    reference's chain of single ladder operators builds it.
 
-    Only the support is scaled (the anti-diagonal of a fixed-total state, see
-    :func:`_lowered_support`), and no intermediate state is built or
-    validated.  The result sits in a zero grid of the state's own shape, so
-    the caller's ``np.vdot`` runs the same reduction as :func:`inner_product`.
+    No intermediate state is built or validated.  The result sits in a zero
+    grid of the state's own shape, so the caller's ``np.vdot`` runs the same
+    reduction as the reference's inner product.
     """
-    if isinstance(state, FixedTotalState):
-        m = state.total
-        vals, rows, cols = _lowered_support(state.amplitudes, m, mode1, mode2)
-        grid = np.zeros((m + 1, m + 1), dtype=complex)
-        grid[rows, cols] = vals
-        return grid
     vals = state.amps
     for _ in range(mode1):
         vals = vals[1:, :] * np.sqrt(np.arange(1, vals.shape[0], dtype=float))[:, None]
@@ -355,24 +272,21 @@ def moment_oracle(state, spec: MomentSpec):
     applied, hence no cutoff growth and no truncation error for finite
     states.
 
-    The value equals, bit for bit, ``inner_product`` of two chains of
-    ``apply_ladder(..., "annihilate")`` calls (bra j then r, ket k then s),
-    for the reason given in the module docstring.  The route shares nothing
-    with the log-factorial weights of the literal series, which keeps it an
-    independent check on them.
-
-    A number-changing spec on a :class:`FixedTotalState` returns ``0j``
-    without building a grid: the two images lie on different anti-diagonals
-    (the total-photon selection rule), so the ``np.vdot`` adds only exact
-    zeros to accumulators that start at +0 and gives ``0j`` too.
+    The value equals, bit for bit, the inner product of two chains of single
+    annihilation operators (bra j then r, ket k then s), the test reference
+    in ``tests/conftest.py``, for the reason given in the module docstring.
+    The route shares nothing with the log-factorial weights of the literal
+    series, which keeps it an independent check on them.
 
     A :class:`MomentBatch` in place of the state gives a ``complex128``
-    array with one value per row, each the value of that row's state.
+    array with one value per row, each the value of that row's state.  A
+    :class:`FixedTotalState` is reduced as a one-row batch, so a
+    number-changing spec gives ``0j`` without building a grid.
     """
     if isinstance(state, MomentBatch):
         return _batch_oracle(state, spec)
-    if not spec.conserving and isinstance(state, FixedTotalState):
-        return 0j
+    if isinstance(state, FixedTotalState):
+        return complex(_batch_oracle(MomentBatch(state.total, state.amplitudes[None]), spec)[0])
     bra = _lowered_grid(state, spec.j, spec.r)
     if (spec.k, spec.s) == (spec.j, spec.r):
         ket = bra

@@ -375,34 +375,45 @@ class _RowTables(dict):
         return table
 
 
+def _point_state(family: str, total: int, p: float, q: float):
+    """The state at one grid point, or the :class:`InvalidParams` or
+    :class:`NormalizationAnomaly` its build raised, with the traceback
+    cleared so that a kept failure holds no frame alive."""
+    try:
+        return _build_state(family, total, p, q)
+    except (InvalidParams, NormalizationAnomaly) as exc:
+        return exc.with_traceback(None)
+
+
 def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple):
     """The states of one (family, M, q) slice of a p grid and their moment
-    tables, built once per cache.
+    tables: one ``(p, state, tables)`` per p, where ``state`` is the
+    exception of a point that failed to build (see :func:`_point_state`),
+    and ``tables[engine]`` gives the state's table, made on first use.
 
-    ``cache`` maps ``(family, M, q, p_values)`` to one ``(p, state, {engine:
-    table})`` per p, with ``state`` None when the point fails state-family
-    validation; ``tables[engine]`` gives the table, made on first use.  The
-    tables of a slice's fixed-total states are :class:`_RowTables` of one
-    :class:`_LiteralSlice`; other states get a dict per engine.  A caller
-    that passes one cache to several sweeps builds each distinct state once
-    and computes each of its moments once per engine.  (``ngbs`` gives the
-    same state for q = 0.0 and -0.0, which share a key.)
+    For the fixed-total families the points are built once per cache, which
+    maps ``(family, M, q, p_values)`` to their list: the tables of the
+    slice's states are :class:`_RowTables` of one :class:`_LiteralSlice`
+    (None for a failed point).  A caller that passes one cache to several
+    sweeps builds each distinct state once and computes each of its moments
+    once per engine.  (``ngbs`` gives the same state for q = 0.0 and -0.0,
+    which share a key.)  Other families give a generator that builds each
+    state when its point is reached, with a dict per engine as tables, and
+    cache nothing: a ``coherent`` slice holds one state grid at a time,
+    which is what :func:`_check_budget` counts.
     """
+    if family not in FIXED_TOTAL_FAMILIES:
+        return ((p, _point_state(family, total, p, q), defaultdict(dict)) for p in p_values)
     key = (family, total, q, p_values)
     points = cache.get(key)
     if points is None:
-        states = []
-        for p in p_values:
-            try:
-                states.append(_build_state(family, total, p, q))
-            except (InvalidParams, NormalizationAnomaly):
-                states.append(None)
+        states = [_point_state(family, total, p, q) for p in p_values]
         fixed = [state for state in states if isinstance(state, FixedTotalState)]
         literal = _LiteralSlice(fixed)
         rows = iter(range(len(fixed)))
         points = cache[key] = [
             (p, state, _RowTables(literal, next(rows))
-             if isinstance(state, FixedTotalState) else defaultdict(dict))
+             if isinstance(state, FixedTotalState) else None)
             for p, state in zip(p_values, states)
         ]
     return points
@@ -436,7 +447,7 @@ def _compute_rows(config: SweepConfig, cache: dict) -> list[SweepRow]:
                 for engine in engines:
                     value = nonclassical = None
                     status = "invalid_params"
-                    if state is not None:
+                    if not isinstance(state, Exception):
                         res = evaluate(state, witness, engine, tables[engine])
                         status = res.status
                         if status == "ok":
@@ -446,6 +457,9 @@ def _compute_rows(config: SweepConfig, cache: dict) -> list[SweepRow]:
                         witness.l, witness.m, witness.theta, witness.form,
                         engine.value, value, nonclassical, status,
                     ))
+            # an uncached (coherent) state goes before the next one is
+            # built: its slice holds one state grid at a time
+            del state
     return rows
 
 
@@ -654,14 +668,12 @@ def _slice_tails(cache: dict, grid: tuple, orders) -> str:
     )
     points = []  # (line head, batch row) per valid point
     for p, state, tables in _grid_slice(cache, *grid):
-        params = NGBSParams(total, p, q)
-        if not params.is_valid():
+        if isinstance(state, InvalidParams):
             continue
-        if state is None:
+        if isinstance(state, Exception):
             # a valid point whose state failed to build (a
-            # NormalizationAnomaly) stops the report, as it always has:
-            # building it again raises again
-            ngbs(params)
+            # NormalizationAnomaly) stops the report
+            raise state
         grid_slice = tables.literal_slice
         points.append((f"ngbs,{total},{p!r},{q!r},", tables.row))
     if not points:
@@ -801,12 +813,12 @@ def table1_report(
             q = float(q)
             valid = tuple(p for p in p_values if NGBSParams(total, p, q).is_valid())
             # one slice at a time: its states and tables go when it is done
-            for p, state, tables in _grid_slice({}, "ngbs", total, q, valid):
+            for _, state, tables in _grid_slice({}, "ngbs", total, q, valid):
                 valid_points += 1
-                if state is None:
+                if isinstance(state, Exception):
                     # a valid point whose state failed to build (a
-                    # NormalizationAnomaly) stops the table, as it always has
-                    state = ngbs(NGBSParams(total, p, q))
+                    # NormalizationAnomaly) stops the table
+                    raise state
                 table = tables[engine]
                 for index, (_, witnesses, _, _) in enumerate(_TABLE_ROWS):
                     for witness in witnesses:

@@ -67,3 +67,73 @@ def assert_column_rows(column, singles, dtype=np.complex128, context=None):
     assert (column.dtype, column.shape) == (dtype, (len(singles),)), context
     for row, (got, want) in enumerate(zip(column, singles)):
         assert repr(convert(got)) == repr(convert(want)), (context, row)
+
+
+# --- the oracle's reference: single ladder operators on grid states ----------------
+
+def to_two_mode(state):
+    """Embed a FixedTotalState into a TwoModeState grid with entry (n, M-n) = c[n]."""
+    from twomode import TwoModeState
+
+    m = state.total
+    grid = np.zeros((m + 1, m + 1), dtype=complex)
+    grid[np.arange(m + 1), m - np.arange(m + 1)] = state.amplitudes
+    return TwoModeState(grid)
+
+
+def as_grid(state):
+    """The grid state of ``state``: a FixedTotalState embedded, a TwoModeState as is."""
+    from twomode import FixedTotalState
+
+    if isinstance(state, FixedTotalState):
+        return to_two_mode(state)
+    return state
+
+
+def apply_ladder(state, mode: int, kind: str):
+    """Apply a single creation or annihilation operator to one mode.
+
+    Standard actions ``a|n> = sqrt(n)|n-1>`` and ``a^dag|n> = sqrt(n+1)|n+1>``
+    applied entrywise to the grid; creation grows the grid by one row or
+    column, so no amplitude is lost.  The result is an unnormalized
+    TwoModeState.  ``mode`` is 1 or 2, ``kind`` ``"create"`` or
+    ``"annihilate"``.
+    """
+    from twomode import TwoModeState
+
+    if mode not in (1, 2):
+        raise ValueError(f"mode must be 1 or 2, got {mode!r}")
+    if kind not in ("create", "annihilate"):
+        raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
+    grid = as_grid(state).amps
+    axis = mode - 1
+    if axis == 1:
+        grid = grid.T
+    n_max = grid.shape[0] - 1
+
+    if kind == "annihilate":
+        out = np.zeros_like(grid)
+        if n_max >= 1:
+            weights = np.sqrt(np.arange(1, n_max + 1, dtype=float))
+            out[:-1, :] = grid[1:, :] * weights[:, None]
+    else:
+        out = np.zeros((n_max + 2, grid.shape[1]), dtype=complex)
+        weights = np.sqrt(np.arange(1, n_max + 2, dtype=float))
+        out[1:, :] = grid * weights[:, None]
+
+    if axis == 1:
+        out = out.T
+    return TwoModeState(out)
+
+
+def inner_product(bra, ket) -> complex:
+    """Return ``<bra|ket>`` with grids zero-padded to common cutoffs."""
+    a = as_grid(bra).amps
+    b = as_grid(ket).amps
+    rows = max(a.shape[0], b.shape[0])
+    cols = max(a.shape[1], b.shape[1])
+    if a.shape != (rows, cols):
+        a = np.pad(a, ((0, rows - a.shape[0]), (0, cols - a.shape[1])))
+    if b.shape != (rows, cols):
+        b = np.pad(b, ((0, rows - b.shape[0]), (0, cols - b.shape[1])))
+    return complex(np.vdot(a, b))

@@ -15,17 +15,23 @@ from twomode import (
     MomentSpec,
     NGBSParams,
     TwoModeState,
-    apply_ladder,
     compare_engines,
     fock_pair,
-    inner_product,
     log_factorial,
     moment_oracle,
     ngbs,
 )
 from twomode.sweep import _DIAGNOSTIC_SPECS, STANDARD_Q
 
-from conftest import assert_column_rows, random_fixed_total, random_grid_state, signed_zero_states
+from conftest import (
+    apply_ladder,
+    assert_column_rows,
+    inner_product,
+    random_fixed_total,
+    random_grid_state,
+    signed_zero_states,
+    to_two_mode,
+)
 
 
 def test_log_factorial_base_cases():
@@ -171,19 +177,26 @@ def test_oracle_selection_rule_equals_grid_value_exactly(total, exponents, seed)
 
 def test_oracle_builds_no_grid_for_number_changing_moments(monkeypatch):
     calls = []   # (spec, fixed-total) per oracle call
-    builds = []  # the spec of the oracle call that built each grid
-    oracle, lower = moments.moment_oracle, fock._lowered_grid
+    builds = []  # the spec of the oracle call that built each scatter grid
+    oracle = moments.moment_oracle
 
     def counted_oracle(state, spec):
         calls.append((spec, isinstance(state, FixedTotalState)))
         return oracle(state, spec)
 
-    def counted_lower(state, mode1, mode2):
-        builds.append(calls[-1][0])
-        return lower(state, mode1, mode2)
+    class CountingNumpy:
+        """numpy, with each 2-d ``zeros`` (an image's grid) counted."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def zeros(self, shape, *args, **kwargs):
+            if np.ndim(shape) == 1 and len(shape) == 2:
+                builds.append(calls[-1][0])
+            return np.zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(moments, "moment_oracle", counted_oracle)
-    monkeypatch.setattr(fock, "_lowered_grid", counted_lower)
+    monkeypatch.setattr(fock, "np", CountingNumpy())
     specs = [MomentSpec(d, low, 0, 0) for d, low in _DIAGNOSTIC_SPECS]
     specs += [MomentSpec(0, 0, d, low) for d, low in _DIAGNOSTIC_SPECS]
     for total in (10, 20):
@@ -268,7 +281,7 @@ def test_fixed_total_embedding_is_lossless(n1, pad):
     total = n1 + pad
     amps = np.zeros(total + 1)
     amps[n1] = 1.0
-    grid = FixedTotalState(total, amps).to_two_mode()
+    grid = to_two_mode(FixedTotalState(total, amps))
     assert grid.amps.shape == (total + 1, total + 1)
     assert grid.amps[n1, total - n1] == 1.0
     assert np.count_nonzero(grid.amps) == 1
@@ -335,6 +348,6 @@ def test_moment_spec_hash_equality_and_repr():
 
 def test_normalized_constructor_and_norm():
     state = TwoModeState.normalized(np.array([[3.0, 4.0]]))
-    assert state.is_normalized()
+    assert abs(state.norm - 1.0) <= 1e-10
     with pytest.raises(ValueError):
         TwoModeState.normalized(np.zeros((2, 2)))

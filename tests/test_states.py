@@ -18,6 +18,8 @@ from twomode import (
     ngbs,
 )
 
+from exact import ngbs_probabilities
+
 VALID_Q = (-0.01, -0.005, 0.0, 0.005, 0.01, 0.1)
 
 
@@ -85,6 +87,25 @@ def test_abel_normalization_over_validation_grid():
                 assert abs(np.sum(np.abs(amps) ** 2) - 1.0) <= 1e-8
                 checked += 1
     assert checked > 200
+
+
+def test_ngbs_squares_match_the_exact_probabilities():
+    # every tenth p of the standard grid at M = 10, 20 and the six standard q;
+    # measured worst |c_n^2 - float(P(n))|: 2.0e-14 relative, 1.5e-15 absolute
+    checked = 0
+    for total in (10, 20):
+        for q in VALID_Q:
+            for p in np.linspace(0.01, 0.99, 99).tolist()[::10]:
+                params = NGBSParams(total, p, q)
+                if not params.is_valid():
+                    continue
+                exact = ngbs_probabilities(total, p, q)
+                assert sum(exact) == 1  # Abel's identity, exactly
+                squares = (ngbs(params).amplitudes.real ** 2).tolist()
+                for n, (got, want) in enumerate(zip(squares, map(float, exact))):
+                    assert abs(got - want) <= 4 * max(2e-14 * want, 1.5e-15), (params, n)
+                checked += 1
+    assert checked == 111
 
 
 @given(

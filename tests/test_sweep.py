@@ -174,7 +174,7 @@ def test_sweep_slices_hold_array_columns_and_states_without_dicts(tmp_path):
     slices = {}
     for points in cache.values():
         for _, state, tables in points:
-            if state is not None:
+            if not isinstance(state, Exception):
                 assert not hasattr(state, "__dict__")
                 assert not hasattr(tables, "__dict__")
                 slices[id(tables.literal_slice)] = tables.literal_slice
@@ -315,6 +315,34 @@ def test_coherent_family_oracle_rows(tmp_path):
         x, y = row.p * 2, (1 - row.p) * 2
         assert row.value == pytest.approx((x - y) ** 2 / (2 * x * y), abs=1e-8)
         assert not row.nonclassical
+
+
+def test_coherent_slices_hold_one_state_grid_at_a_time(monkeypatch, tmp_path):
+    # _check_budget counts one state grid per coherent slice: each state is
+    # built when its point is reached, cached nowhere, and gone before the
+    # next is built (the live count only grows at a build)
+    import weakref
+
+    import twomode.sweep as sweep
+
+    grids = []  # a weak reference to the grid of each state built
+    live = []  # grids alive right after each build
+    build = sweep.coherent_product
+
+    def counted_build(*args):
+        state = build(*args)
+        grids.append(weakref.ref(state.amps))
+        live.append(sum(ref() is not None for ref in grids))
+        return state
+
+    monkeypatch.setattr(sweep, "coherent_product", counted_build)
+    config = small_config(tmp_path, state_family="coherent", q_list=(0.0, 0.01),
+                          p_grid=(-0.2, 0.8, 6), engines=(Engine.ORACLE,))
+    rows = compute_rows(config)
+    # p = -0.2 gives an invalid_params row and builds no state
+    assert len(live) == 2 * 5 and max(live) == 1
+    assert sum(row.status == "invalid_params" for row in rows) == 2 * 2
+    assert all(ref() is None for ref in grids)
 
 
 # --- CSV + SVG -----------------------------------------------------------------------
@@ -532,23 +560,40 @@ def test_discrepancy_report_is_what_csv_writer_writes(figure_dir):
     assert not mismatched, mismatched[:3]
 
 
-def test_figures_stop_on_a_valid_point_whose_state_fails(monkeypatch, tmp_path):
+def _fail_one_valid_point(monkeypatch):
+    """Make ``ngbs`` raise NormalizationAnomaly at a valid point of the
+    M = 10, q = 0 slice; the list it returns gets each exception raised."""
     import twomode.sweep as sweep
 
     build = sweep.ngbs
-    # a valid point of the M = 10, q = 0 slice (panels fig3a and fig5a): the
-    # panels write it as an invalid_params row, the report must stop on it
     failing = NGBSParams(10, float(np.linspace(*STANDARD_P_GRID)[40]), 0.0)
     assert failing.is_valid()
+    raised = []
 
     def anomalous(params):
         if params == failing:
-            raise NormalizationAnomaly("norm drifted")
+            raised.append(NormalizationAnomaly("norm drifted"))
+            raise raised[-1]
         return build(params)
 
     monkeypatch.setattr(sweep, "ngbs", anomalous)
-    with pytest.raises(NormalizationAnomaly):
+    return raised
+
+
+def test_figures_stop_on_a_valid_point_whose_state_fails(monkeypatch, tmp_path):
+    # panels fig3a and fig5a write the point as an invalid_params row; the
+    # report stops on the failure its slice kept, without building it again
+    raised = _fail_one_valid_point(monkeypatch)
+    with pytest.raises(NormalizationAnomaly) as caught:
         reproduce_figures(tmp_path)
+    assert len(raised) == 1 and caught.value is raised[0]
+
+
+def test_table1_stops_on_a_valid_point_whose_state_fails(monkeypatch):
+    raised = _fail_one_valid_point(monkeypatch)
+    with pytest.raises(NormalizationAnomaly) as caught:
+        table1_report()
+    assert len(raised) == 1 and caught.value is raised[0]
 
 
 # --- summary table -------------------------------------------------------------------

@@ -487,7 +487,8 @@ def test_slice_rows_equal_per_state_results_on_ngbs_slices(total):
     p_values = tuple(np.linspace(0.01, 0.99, 25).tolist())
     for q in STANDARD_Q:
         for p, state, tables in _grid_slice({}, "ngbs", total, q, p_values):
-            if state is not None:
+            # a point that failed to build holds its exception
+            if not isinstance(state, Exception):
                 for engine in BOTH:
                     fresh = {}
                     for witness in VARIANTS:
