@@ -5,7 +5,6 @@ from .fock import (
     MomentBatch,
     MomentSpec,
     TwoModeState,
-    log_factorial,
     moment_oracle,
 )
 from .moments import (
@@ -69,7 +68,6 @@ __all__ = [
     "fock_pair",
     "hoa",
     "literal_moment",
-    "log_factorial",
     "mode1_moment",
     "mode2_moment",
     "moment_oracle",

@@ -48,31 +48,41 @@ __all__ = [
     "MomentBatch",
     "MomentSpec",
     "TwoModeState",
-    "log_factorial",
     "moment_oracle",
 ]
 
 NORMALIZATION_TOL = 1e-10
 
 
-def log_factorial(n: int) -> float:
-    """Return ln(n!) for a non-negative integer n.
+_LOG_FACTORIALS = (0.0,)
 
-    Exact 0.0 for n in {0, 1}; relative error at the lgamma level
-    (well below 1e-12) for n up to several hundred.
+
+def _log_factorials(total: int) -> tuple[float, ...]:
+    """``ln(n!)`` as ``math.lgamma(n + 1)`` for n = 0 up to at least
+    ``total``: the only source of log-factorials for the series weights and
+    the state families.  There is one table, rebuilt longer when a larger n
+    is asked for, so a sweep whose states differ in size (a ``coherent``
+    cutoff changes with p) holds one table, not one per size.
+
+    Exact 0.0 for n in {0, 1}; relative error at the lgamma level (well
+    below 1e-12) for n up to several hundred.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    return math.lgamma(n + 1)
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if len(table) <= total:
+        # the caller gets the table built for it, even if another thread
+        # stores a shorter one meanwhile
+        table = _LOG_FACTORIALS = tuple(math.lgamma(n + 1) for n in range(total + 1))
+    return table
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class TwoModeState:
     """Amplitude grid ``amps[n1, n2]`` with 0 <= n_i <= cutoff_i.
 
-    The raw constructor only checks finiteness; use :meth:`normalized` (or a
-    state constructor from :mod:`twomode.states`) for unit-norm states.
-    Unnormalized grids are allowed: a ladder operator produces one.
+    The raw constructor only checks finiteness; a state constructor from
+    :mod:`twomode.states` gives unit-norm states.  Unnormalized grids are
+    allowed: a ladder operator produces one.
     """
 
     amps: np.ndarray
@@ -86,15 +96,6 @@ class TwoModeState:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
-
-    @classmethod
-    def normalized(cls, amps: np.ndarray) -> "TwoModeState":
-        """Construct a state normalized to unit norm."""
-        amps = np.asarray(amps, dtype=complex)
-        nrm = np.linalg.norm(amps)
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero grid")
-        return cls(amps / nrm)
 
     @property
     def norm(self) -> float:

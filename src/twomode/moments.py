@@ -72,20 +72,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FixedTotalState, MomentBatch, MomentSpec, log_factorial, moment_oracle
+from .fock import FixedTotalState, MomentBatch, MomentSpec, _log_factorials, moment_oracle
 
 __all__ = [
     "Engine",
     "MomentBatch",
     "MomentReport",
+    "cached_expectation",
     "compare_engines",
     "cross_moment",
     "expectation",
     "literal_moment",
     "mode1_moment",
-    "mode1_sum_empty",
     "mode2_moment",
-    "mode2_sum_empty",
 ]
 
 
@@ -104,30 +103,17 @@ class Engine(enum.Enum):
         raise ValueError(f"unknown engine {text!r}; expected 'literal' or 'oracle'")
 
 
-def _half_log_ratio(a: int, b: int, c: int) -> float:
-    """0.5 * ln(a! b! / (c!)^2); caller guarantees non-negative arguments."""
-    return 0.5 * (log_factorial(a) + log_factorial(b) - 2.0 * log_factorial(c))
-
-
-def mode1_sum_empty(total: int, daggers: int, lowers: int) -> bool:
-    """True when the mode-1 series has crossing bounds (empty sum)."""
-    return not len(_series_plan("mode1", total, (daggers, lowers))[2])
-
-
-def mode2_sum_empty(total: int, daggers: int, lowers: int) -> bool:
-    """True when the mode-2 series has crossing bounds (empty sum)."""
-    return not len(_series_plan("mode2", total, (daggers, lowers))[2])
-
-
 @functools.lru_cache(maxsize=1024)
 def _series_plan(kind: str, total: int, exponents: tuple[int, ...]):
     """Index pairs and weights ``(bra, ket, w)`` of one series, in sum order.
 
     ``kind`` is ``"mode1"`` or ``"mode2"`` (exponents ``(daggers, lowers)``)
     or ``"cross"`` (exponents ``(j, k, r, s)`` of a number-conserving spec).
-    Weights are scalar ``math.exp`` values, term by term (module docstring).
+    Weights are scalar ``math.exp`` values, term by term (module docstring),
+    of log-factorials from the one table of :mod:`twomode.fock`.
     """
     m = total
+    lf = _log_factorials(m)
     bra, ket, w = [], [], []
     if kind in ("mode1", "mode2"):
         k, l = exponents
@@ -135,7 +121,7 @@ def _series_plan(kind: str, total: int, exponents: tuple[int, ...]):
         for n in range(l, (m if l >= k else m - (k - l)) + 1):
             bra.append(n)
             ket.append(n - l + k)
-            w.append(math.exp(_half_log_ratio(n, n - l + k, n - l)))
+            w.append(math.exp(0.5 * (lf[n] + lf[n - l + k] - 2.0 * lf[n - l])))
         if kind == "mode2":
             # the mode-1 terms mirrored by n -> M - n (module docstring)
             bra, ket, w = [m - n for n in bra[::-1]], [m - n for n in ket[::-1]], w[::-1]
@@ -151,10 +137,8 @@ def _series_plan(kind: str, total: int, exponents: tuple[int, ...]):
             if m - n - s < 0 or m - left - r < 0:
                 continue
             log_w = 0.5 * (
-                log_factorial(n) - log_factorial(n - k)
-                + log_factorial(left) - log_factorial(left - j)
-                + log_factorial(m - n) - log_factorial(m - n - s)
-                + log_factorial(m - left) - log_factorial(m - left - r)
+                lf[n] - lf[n - k] + lf[left] - lf[left - j]
+                + lf[m - n] - lf[m - n - s] + lf[m - left] - lf[m - left - r]
             )
             bra.append(left)
             ket.append(n)
@@ -260,6 +244,15 @@ def expectation(state, spec: MomentSpec, engine: Engine):
     return literal_moment(state, spec)
 
 
+def cached_expectation(table: dict, state, spec: MomentSpec, engine: Engine):
+    """``table[spec]``, computed with :func:`expectation` and stored on first
+    use.  ``table`` holds the moments of one (state, engine) pair."""
+    value = table.get(spec)
+    if value is None:
+        value = table[spec] = expectation(state, spec, engine)
+    return value
+
+
 class MomentReport(NamedTuple):
     """Side-by-side literal/oracle values for one moment.
 
@@ -301,16 +294,10 @@ def compare_engines(state, specs, tables=None) -> list[MomentReport]:
         pure2 = spec.j == 0 and spec.k == 0
         if not (pure1 or pure2):
             raise ValueError(f"compare_engines expects single-mode specs, got {spec}")
-        lit = literal.get(spec)
-        if lit is None:
-            lit = literal[spec] = literal_moment(state, spec)
-        ora = oracle.get(spec)
-        if ora is None:
-            ora = oracle[spec] = moment_oracle(state, spec)
-        if pure1:
-            degenerate = mode1_sum_empty(state.total, spec.j, spec.k)
-        else:
-            degenerate = mode2_sum_empty(state.total, spec.r, spec.s)
+        lit = cached_expectation(literal, state, spec, Engine.LITERAL)
+        ora = cached_expectation(oracle, state, spec, Engine.ORACLE)
+        kind, exponents = ("mode1", (spec.j, spec.k)) if pure1 else ("mode2", (spec.r, spec.s))
+        degenerate = not len(_series_plan(kind, state.total, exponents)[2])
         # the scalar difference, row by row for a batch, as each state takes
         # it: np.abs rounds complex moduli differently
         if isinstance(state, MomentBatch):

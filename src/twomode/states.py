@@ -15,13 +15,12 @@ fixtures: the former are exact basis kets, the latter sit exactly on the
 classical boundary of every witness.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FixedTotalState, TwoModeState, log_factorial
+from .fock import FixedTotalState, TwoModeState, _log_factorials
 
 __all__ = [
     "InvalidParams",
@@ -101,12 +100,6 @@ class NGBSParams:
         except InvalidParams:
             return False
         return True
-
-
-@functools.lru_cache(maxsize=32)
-def _log_factorials(total: int) -> tuple[float, ...]:
-    """``log_factorial(n)`` for n = 0..total, the same floats, one table per M."""
-    return tuple(math.lgamma(n + 1) for n in range(total + 1))
 
 
 def ngbs(params: NGBSParams) -> FixedTotalState:
@@ -196,7 +189,7 @@ def coherent_product(alpha1: complex, alpha2: complex, cutoff: int) -> TwoModeSt
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
     n = np.arange(cutoff + 1)
-    log_fac = np.array([log_factorial(int(i)) for i in n])
+    log_fac = np.array(_log_factorials(cutoff)[:cutoff + 1])
 
     def mode_amps(alpha: complex) -> np.ndarray:
         alpha = complex(alpha)
@@ -216,4 +209,4 @@ def coherent_product(alpha1: complex, alpha2: complex, cutoff: int) -> TwoModeSt
             f"cutoff {cutoff} keeps only {kept!r} of the norm "
             f"(deficit {deficit:.3e} > 1e-10)"
         )
-    return TwoModeState.normalized(grid)
+    return TwoModeState(grid / np.linalg.norm(grid))

@@ -19,7 +19,6 @@ status).
 import functools
 import math
 import operator
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -304,15 +303,15 @@ def _build_state(family: str, total: int, p: float, q: float):
 class _LiteralSlice:
     """The fixed-total states of one grid slice, their moment columns under
     both engines and their witness results, each computed once for the
-    slice: a column by one :func:`twomode.moments.expectation` call on a
+    slice.  The results of a (witness, engine) come from one
+    :func:`~twomode.witnesses.reduce_columns` over that engine's columns,
+    and a missing column from one ``moments.cached_expectation`` call on a
     :class:`MomentBatch` of the states, which calls
     ``moments.literal_moment`` or ``moments.moment_oracle`` (looked up at
-    call time, so that a wrapper sees them), and the results of a (witness,
-    engine) by one :func:`~twomode.witnesses.reduce_columns` over that
-    engine's columns.  Results are released once each row has read its
-    own.  ``columns`` maps each engine to its columns by spec, each a
-    ``complex128`` array of shape ``(P,)`` whose row i holds the float and
-    sign of zero that state i gives alone: the ``tables`` that
+    call time, so that a wrapper sees them).  Results are released once each
+    row has read its own.  ``columns`` maps each engine to its columns by
+    spec, each a ``complex128`` array of shape ``(P,)`` whose row i holds
+    the float and sign of zero that state i gives alone: the ``tables`` that
     :func:`~twomode.moments.compare_engines` takes with the batch.
     """
 
@@ -325,19 +324,14 @@ class _LiteralSlice:
     def batch(self) -> moments.MomentBatch:
         return moments.MomentBatch.stack(self._states)
 
-    def column(self, engine: Engine, spec: MomentSpec) -> np.ndarray:
-        columns = self.columns[engine]
-        column = columns.get(spec)
-        if column is None:
-            column = columns[spec] = moments.expectation(self.batch, spec, engine)
-        return column
-
     def result(self, witness: Witness, engine: Engine, row: int):
         key = (witness, engine)
         entry = self._results.get(key)
         if entry is None:
-            results = reduce_columns(
-                witness, [self.column(engine, spec) for spec in witness.specs], engine)
+            columns = self.columns[engine]
+            results = reduce_columns(witness, [
+                moments.cached_expectation(columns, self.batch, spec, engine)
+                for spec in witness.specs], engine)
             entry = self._results[key] = [results, len(results)]
         entry[1] -= 1
         if not entry[1]:
@@ -346,33 +340,17 @@ class _LiteralSlice:
 
 
 class _SliceRow(NamedTuple):
-    """One state's moment table under one engine, a row of its slice, whose
-    ``result`` answers :func:`~twomode.witnesses.evaluate` from the slice's
-    results, reducing the witness for the whole slice on first use.  The
-    slice holds no reference to its rows: no reference cycle."""
+    """The moment table of one fixed-total state, row ``row`` of its slice,
+    under every engine: its ``result`` answers
+    :func:`~twomode.witnesses.evaluate` from the slice's results, reducing
+    the witness for the whole slice on first use.  The slice holds no
+    reference to its rows: no reference cycle."""
 
     literal_slice: _LiteralSlice
     row: int
-    engine: Engine
 
-    def result(self, witness: Witness):
-        return self.literal_slice.result(witness, self.engine, self.row)
-
-
-class _RowTables(dict):
-    """``{engine: table}`` of the fixed-total state in row ``row`` of
-    ``literal_slice``, each table made the first time it is asked for, so
-    that a run on the literal engine alone builds no oracle view."""
-
-    __slots__ = ("literal_slice", "row")
-
-    def __init__(self, literal_slice: _LiteralSlice, row: int):
-        super().__init__()
-        self.literal_slice, self.row = literal_slice, row
-
-    def __missing__(self, engine: Engine) -> _SliceRow:
-        table = self[engine] = _SliceRow(self.literal_slice, self.row, engine)
-        return table
+    def result(self, witness: Witness, engine: Engine):
+        return self.literal_slice.result(witness, engine, self.row)
 
 
 def _point_state(family: str, total: int, p: float, q: float):
@@ -387,23 +365,26 @@ def _point_state(family: str, total: int, p: float, q: float):
 
 def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple):
     """The states of one (family, M, q) slice of a p grid and their moment
-    tables: one ``(p, state, tables)`` per p, where ``state`` is the
+    tables: one ``(p, state, table)`` per p, where ``state`` is the
     exception of a point that failed to build (see :func:`_point_state`),
-    and ``tables[engine]`` gives the state's table, made on first use.
+    and ``table`` is the state's moment table, to pass to
+    :func:`~twomode.witnesses.evaluate` under any engine the slice runs.
 
     For the fixed-total families the points are built once per cache, which
-    maps ``(family, M, q, p_values)`` to their list: the tables of the
-    slice's states are :class:`_RowTables` of one :class:`_LiteralSlice`
-    (None for a failed point).  A caller that passes one cache to several
-    sweeps builds each distinct state once and computes each of its moments
-    once per engine.  (``ngbs`` gives the same state for q = 0.0 and -0.0,
-    which share a key.)  Other families give a generator that builds each
-    state when its point is reached, with a dict per engine as tables, and
-    cache nothing: a ``coherent`` slice holds one state grid at a time,
-    which is what :func:`_check_budget` counts.
+    maps ``(family, M, q, p_values)`` to their list: each state's table is
+    its :class:`_SliceRow` of one :class:`_LiteralSlice` (None for a failed
+    point).  A caller that passes one cache to several sweeps builds each
+    distinct state once and computes each of its moments once per engine.
+    (``ngbs`` gives the same state for q = 0.0 and -0.0, which share a key.)
+    Other families give a generator that builds each state when its point
+    is reached, with a plain dict as its table, and cache nothing: a
+    ``coherent`` slice holds one state grid at a time, which is what
+    :func:`_check_budget` counts.  One dict serves because only the oracle
+    runs on ``coherent`` states: :meth:`SweepConfig.validate` rejects the
+    literal engine for them.
     """
     if family not in FIXED_TOTAL_FAMILIES:
-        return ((p, _point_state(family, total, p, q), defaultdict(dict)) for p in p_values)
+        return ((p, _point_state(family, total, p, q), {}) for p in p_values)
     key = (family, total, q, p_values)
     points = cache.get(key)
     if points is None:
@@ -412,11 +393,16 @@ def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple)
         literal = _LiteralSlice(fixed)
         rows = iter(range(len(fixed)))
         points = cache[key] = [
-            (p, state, _RowTables(literal, next(rows))
+            (p, state, _SliceRow(literal, next(rows))
              if isinstance(state, FixedTotalState) else None)
             for p, state in zip(p_values, states)
         ]
     return points
+
+
+def _q_order(q: float) -> tuple:
+    """A total order on q values: ascending, -0.0 before 0.0, NaN last."""
+    return (True, 0.0, 0.0) if math.isnan(q) else (False, q, math.copysign(1.0, q))
 
 
 def compute_rows(config: SweepConfig) -> list[SweepRow]:
@@ -425,30 +411,32 @@ def compute_rows(config: SweepConfig) -> list[SweepRow]:
     Rows come out ordered lexicographically by (q, p, witness label,
     engine).  Parameter points that fail state-family validation yield
     status ``invalid_params`` rows rather than aborting the sweep.  Each
-    (state, engine) pair keeps one moment table, so every distinct moment
-    is computed once for all the witnesses of a grid point; for the
-    fixed-total families each engine computes it once for all the states of
-    a q slice, in one batch, and reduces each witness once per slice.
+    state keeps one moment table, so every distinct moment is computed once
+    per engine for all the witnesses of a grid point; for the fixed-total
+    families each engine computes it once for all the states of a q slice,
+    in one batch, and reduces each witness once per slice.  One q slice is
+    held at a time.  The slices go in ascending q, -0.0 before 0.0 and NaN
+    last, so the rows do not depend on the order of ``config.q_list``.
     """
-    return _compute_rows(config, {})
+    return _compute_rows(config)
 
 
-def _compute_rows(config: SweepConfig, cache: dict) -> list[SweepRow]:
+def _compute_rows(config: SweepConfig, cache: dict | None = None) -> list[SweepRow]:
     """:func:`compute_rows` with states and moment tables from ``cache``
-    (see :func:`_grid_slice`)."""
+    (see :func:`_grid_slice`), or from a new one per q slice."""
     witnesses = sorted(config.witnesses, key=lambda w: w.label())
     engines = sorted(config.engines, key=lambda e: e.value)
     p_values = tuple(config.p_values().tolist())
     rows: list[SweepRow] = []
-    for q in sorted(config.q_list):
-        for p, state, tables in _grid_slice(
-                cache, config.state_family, config.total, q, p_values):
+    for q in sorted(config.q_list, key=_q_order):
+        for p, state, table in _grid_slice(
+                {} if cache is None else cache, config.state_family, config.total, q, p_values):
             for witness in witnesses:
                 for engine in engines:
                     value = nonclassical = None
                     status = "invalid_params"
                     if not isinstance(state, Exception):
-                        res = evaluate(state, witness, engine, tables[engine])
+                        res = evaluate(state, witness, engine, table)
                         status = res.status
                         if status == "ok":
                             value, nonclassical = res.value, res.nonclassical
@@ -458,8 +446,9 @@ def _compute_rows(config: SweepConfig, cache: dict) -> list[SweepRow]:
                         engine.value, value, nonclassical, status,
                     ))
             # an uncached (coherent) state goes before the next one is
-            # built: its slice holds one state grid at a time
-            del state
+            # built: its slice holds one state grid at a time; and without a
+            # shared cache no row of this slice outlives it
+            del state, table
     return rows
 
 
@@ -643,7 +632,7 @@ def _figure_plan(panels):
         orders = _panel_moment_orders(name, config.total)
         p_values = tuple(config.p_values().tolist())
         slices = []
-        for q in sorted(config.q_list)[::-1]:
+        for q in sorted(config.q_list, key=_q_order)[::-1]:
             # repr: the lines tell -0.0 from 0.0, which the cache key does not
             tails = (config.total, repr(q), repr(config.p_grid), orders)
             grid = (config.state_family, config.total, q, p_values)
@@ -667,15 +656,15 @@ def _slice_tails(cache: dict, grid: tuple, orders) -> str:
         (2, [MomentSpec(0, 0, d, low) for d, low in orders]),
     )
     points = []  # (line head, batch row) per valid point
-    for p, state, tables in _grid_slice(cache, *grid):
+    for p, state, table in _grid_slice(cache, *grid):
         if isinstance(state, InvalidParams):
             continue
         if isinstance(state, Exception):
             # a valid point whose state failed to build (a
             # NormalizationAnomaly) stops the report
             raise state
-        grid_slice = tables.literal_slice
-        points.append((f"ngbs,{total},{p!r},{q!r},", tables.row))
+        grid_slice = table.literal_slice
+        points.append((f"ngbs,{total},{p!r},{q!r},", table.row))
     if not points:
         return ""
     cells = []  # (mode and orders, literal, oracle, gap, flag) per moment
@@ -717,8 +706,8 @@ def reproduce_figures(out_dir: Path) -> dict[str, int]:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # one state and one moment table per engine for each distinct grid point,
-    # shared by the panels and the report lines that read its slice
+    # one state and one moment table for each distinct grid point, shared by
+    # the panels and the report lines that read its slice
     cache: dict = {}
     kept = {}  # tails key -> the tails a later panel writes again
     counts: dict[str, int] = {}
@@ -813,13 +802,12 @@ def table1_report(
             q = float(q)
             valid = tuple(p for p in p_values if NGBSParams(total, p, q).is_valid())
             # one slice at a time: its states and tables go when it is done
-            for _, state, tables in _grid_slice({}, "ngbs", total, q, valid):
+            for _, state, table in _grid_slice({}, "ngbs", total, q, valid):
                 valid_points += 1
                 if isinstance(state, Exception):
                     # a valid point whose state failed to build (a
                     # NormalizationAnomaly) stops the table
                     raise state
-                table = tables[engine]
                 for index, (_, witnesses, _, _) in enumerate(_TABLE_ROWS):
                     for witness in witnesses:
                         res = evaluate(state, witness, engine, table)

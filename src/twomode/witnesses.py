@@ -9,9 +9,9 @@ ordered building blocks are converted uniformly via
 :func:`evaluate` fills a moment table, a dict from
 :class:`~twomode.fock.MomentSpec` to value held by the caller, with the specs
 the witness needs that are not in it yet, each through
-:func:`~twomode.moments.expectation`, and then reduces.  A table belongs to
-one (state, engine) pair, so the witnesses evaluated with it share their
-moments; a moment's value does not depend on which witness asked first.
+:func:`~twomode.moments.cached_expectation`, and then reduces.  A table
+belongs to one (state, engine) pair, so the witnesses evaluated with it share
+their moments; a moment's value does not depend on which witness asked first.
 
 :func:`reduce_columns` runs the same reductions on the moment columns of a
 slice of states, under either engine, which the sweeps' tables use to reduce
@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import FixedTotalState, MomentSpec
-from .moments import Engine, expectation
+from .moments import Engine, cached_expectation
 
 __all__ = [
     "DEFAULT_THETAS",
@@ -344,20 +344,17 @@ def evaluate(
     and engine to compute each distinct moment once; never share it between
     states or engines.  Without a table the moments are computed afresh.
     Any object whose ``get(spec)`` returns the value or None serves as a
-    table; one with a ``result(witness)`` method answers with that instead.
+    table.  One with a ``result(witness, engine)`` method, a row of a sweep's
+    grid slice, answers with that instead, and serves its state under every
+    engine.
     """
     engine = _resolve_engine(state, engine)
     if table is None:
         table = {}
     result = getattr(table, "result", None)
     if result is not None:
-        return result(witness)
-    values = []
-    for spec in witness.specs:
-        value = table.get(spec)
-        if value is None:
-            value = table[spec] = expectation(state, spec, engine)
-        values.append(value)
+        return result(witness, engine)
+    values = [cached_expectation(table, state, spec, engine) for spec in witness.specs]
     value, scale, degenerate = _REDUCTIONS[witness.kind](witness, *values)
     if degenerate:
         return WitnessResult(witness, math.nan, False, engine, "degenerate")

@@ -1,11 +1,13 @@
-"""Exact references for the state families, from the standard library only.
+"""Exact references for the state families and their moments, from the
+standard library only.
 
 At a binary-float p and q every squared ``ngbs`` coefficient is a rational
-number, which :class:`fractions.Fraction` holds exactly.
+number, which :class:`fractions.Fraction` holds exactly, and so is every
+number-conserving single-mode moment, a sum of those squares times integers.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 
 def ngbs_probabilities(total: int, p: float, q: float) -> list:
@@ -21,3 +23,16 @@ def ngbs_probabilities(total: int, p: float, q: float) -> list:
         x * comb(total, n) * (x + n * z) ** (n - 1) * (1 - x - n * z) ** (total - n)
         for n in range(1, total + 1)
     ]
+
+
+def factorial_moments(probabilities: list, k: int) -> tuple:
+    """The exact ``<a1^dag^k a1^k>`` and ``<a2^dag^k a2^k>`` of the
+    fixed-total state whose photon-number distribution is ``probabilities``.
+
+    Mode 1 holds n photons and mode 2 holds M - n with probability P(n), so
+    the two moments are sum_n P(n) n!/(n-k)! and sum_n P(n) (M-n)!/(M-n-k)!,
+    where a falling factorial of fewer than k photons is 0.
+    """
+    total = len(probabilities) - 1
+    return (sum(share * perm(n, k) for n, share in enumerate(probabilities)),
+            sum(share * perm(total - n, k) for n, share in enumerate(probabilities)))

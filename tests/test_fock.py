@@ -17,7 +17,6 @@ from twomode import (
     TwoModeState,
     compare_engines,
     fock_pair,
-    log_factorial,
     moment_oracle,
     ngbs,
 )
@@ -35,20 +34,22 @@ from conftest import (
 
 
 def test_log_factorial_base_cases():
-    assert log_factorial(0) == 0.0
-    assert log_factorial(1) == 0.0
-    assert math.isclose(log_factorial(10), math.log(3628800), rel_tol=1e-12)
+    table = fock._log_factorials(10)
+    assert len(table) >= 11
+    assert table[0] == 0.0
+    assert table[1] == 0.0
+    assert math.isclose(table[10], math.log(3628800), rel_tol=1e-12)
+    assert fock._log_factorials(0)[0] == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 5, 17, 50, 171, 333, 500])
 def test_log_factorial_matches_exact_integer_factorial(n):
     exact = math.log(math.factorial(n))
-    assert math.isclose(log_factorial(n), exact, rel_tol=1e-12)
-
-
-def test_log_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        log_factorial(-1)
+    table = fock._log_factorials(n)
+    assert math.isclose(table[n], exact, rel_tol=1e-12)
+    assert table[:n + 1] == tuple(math.lgamma(i + 1) for i in range(n + 1))
+    # one table: a smaller n reads the same one
+    assert fock._log_factorials(n // 2) is table
 
 
 def test_annihilate_vacuum_gives_zero_state():
@@ -346,8 +347,6 @@ def test_moment_spec_hash_equality_and_repr():
     assert [f.name for f in dataclasses.fields(MomentSpec)] == ["j", "k", "r", "s"]
 
 
-def test_normalized_constructor_and_norm():
-    state = TwoModeState.normalized(np.array([[3.0, 4.0]]))
-    assert abs(state.norm - 1.0) <= 1e-10
-    with pytest.raises(ValueError):
-        TwoModeState.normalized(np.zeros((2, 2)))
+def test_norm_of_a_grid_state():
+    assert TwoModeState(np.array([[3.0, 4.0]])).norm == 5.0
+    assert TwoModeState(np.zeros((2, 2))).norm == 0.0

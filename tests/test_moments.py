@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,12 +21,11 @@ from twomode import (
     moment_oracle,
     ngbs,
 )
-from twomode.fock import log_factorial
-from twomode.moments import mode1_sum_empty, mode2_sum_empty
 from twomode.sweep import STANDARD_Q
 from twomode.witnesses import DEFAULT_THETAS, Witness
 
 from conftest import assert_column_rows, random_fixed_total, signed_zero_states
+from exact import factorial_moments, ngbs_probabilities
 
 
 def one_photon_mode1():
@@ -139,6 +139,10 @@ def test_cross_moment_matches_oracle_on_ngbs(rng):
         closed = cross_moment(state, spec)
         oracle = moment_oracle(state, spec)
         assert abs(closed - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+def log_factorial(n):
+    return math.lgamma(n + 1)
 
 
 def _half_log_ratio(a, b, c):
@@ -327,6 +331,41 @@ def test_batch_stack_rejects_mixed_totals():
         MomentBatch.stack([])
 
 
+FACTORIAL_ORDERS = (1, 2, 3, 5, 6, 9, 10)
+# single-mode moments that change the photon number, as (daggers, lowers)
+CHANGING_ORDERS = ((0, 1), (1, 0), (0, 2), (2, 0), (1, 3), (5, 2))
+
+
+def test_engines_match_the_exact_factorial_moments():
+    # every tenth p of the standard grid at M = 10, 20 and the six standard
+    # q, the sample of the exact P(n) test; measured worst relative error on
+    # <a^dag^k a^k> over this sample: 1.12e-14 literal, 1.30e-14 oracle
+    bound = 4 * Fraction(1.05e-14)
+    checked = 0
+    for total in (10, 20):
+        for q in STANDARD_Q:
+            for p in np.linspace(0.01, 0.99, 99).tolist()[::10]:
+                params = NGBSParams(total, p, q)
+                if not params.is_valid():
+                    continue
+                state = ngbs(params)
+                probabilities = ngbs_probabilities(total, p, q)
+                for k in FACTORIAL_ORDERS:
+                    specs = (MomentSpec(k, k, 0, 0), MomentSpec(0, 0, k, k))
+                    for spec, exact in zip(specs, factorial_moments(probabilities, k)):
+                        for engine in Engine:
+                            value = expectation(state, spec, engine)
+                            assert value.imag == 0.0, (params, spec, engine)
+                            error = abs(Fraction(value.real) - exact)
+                            assert error <= bound * exact, (params, spec, engine)
+                for daggers, lowers in CHANGING_ORDERS:
+                    for spec in (MomentSpec(daggers, lowers, 0, 0),
+                                 MomentSpec(0, 0, daggers, lowers)):
+                        assert moment_oracle(state, spec) == 0, (params, spec)
+                checked += 1
+    assert checked == 111
+
+
 def test_expectation_engine_switch():
     state = binomial_state(2, 0.5)
     spec = MomentSpec(0, 1, 0, 0)
@@ -339,11 +378,11 @@ def test_expectation_engine_switch():
 def test_empty_sum_returns_zero_with_flag():
     state = binomial_state(2, 0.5)
     assert mode1_moment(state, 3, 3) == 0.0
-    assert mode1_sum_empty(2, 3, 3)
     assert mode2_moment(state, 3, 3) == 0.0
-    assert mode2_sum_empty(2, 3, 3)
-    assert not mode1_sum_empty(2, 2, 2)
-    assert not mode2_sum_empty(2, 0, 1)
+    specs = [MomentSpec(3, 3, 0, 0), MomentSpec(0, 0, 3, 3),
+             MomentSpec(2, 2, 0, 0), MomentSpec(0, 0, 0, 1)]
+    degenerate = [report.degenerate for report in compare_engines(state, specs)]
+    assert degenerate == [True, True, False, False]
 
 
 def test_compare_engines_empty_list():

@@ -14,7 +14,6 @@ from twomode import (
     coherent_product,
     fock_pair,
     moment_oracle,
-    log_factorial,
     ngbs,
 )
 
@@ -154,7 +153,8 @@ def _ngbs_squares_scalar_loop(m, p, q):
         for n in range(1, m + 1):
             base = max((p + n * q) * theta, 0.0)
             tail = max(1.0 - (p + n * q) * theta, 0.0)
-            log_term = log_x + log_factorial(m) - log_factorial(n) - log_factorial(m - n)
+            log_term = (log_x + math.lgamma(m + 1) - math.lgamma(n + 1)
+                        - math.lgamma(m - n + 1))
             if n - 1 > 0:
                 if base == 0.0:
                     continue

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import runpy
 from collections import Counter
@@ -173,11 +174,11 @@ def test_sweep_slices_hold_array_columns_and_states_without_dicts(tmp_path):
     _compute_rows(config, cache)
     slices = {}
     for points in cache.values():
-        for _, state, tables in points:
+        for _, state, table in points:
             if not isinstance(state, Exception):
                 assert not hasattr(state, "__dict__")
-                assert not hasattr(tables, "__dict__")
-                slices[id(tables.literal_slice)] = tables.literal_slice
+                assert not hasattr(table, "__dict__")
+                slices[id(table.literal_slice)] = table.literal_slice
     assert len(slices) == len(config.q_list)
     for grid_slice in slices.values():
         rows = len(grid_slice.batch.amplitudes)
@@ -343,6 +344,45 @@ def test_coherent_slices_hold_one_state_grid_at_a_time(monkeypatch, tmp_path):
     assert len(live) == 2 * 5 and max(live) == 1
     assert sum(row.status == "invalid_params" for row in rows) == 2 * 2
     assert all(ref() is None for ref in grids)
+
+
+def test_compute_rows_holds_one_q_slice_at_a_time(monkeypatch, tmp_path):
+    # without a shared cache a q slice, its states and its moment columns,
+    # is gone before the next one is built, so a sweep's memory does not
+    # grow with the length of its q list
+    import weakref
+
+    import twomode.sweep as sweep
+
+    slices = []  # a weak reference to each slice built
+    live = []  # slices alive right after each build
+    init = sweep._LiteralSlice.__init__
+
+    def counted_init(self, states):
+        init(self, states)
+        slices.append(weakref.ref(self))
+        live.append(sum(ref() is not None for ref in slices))
+
+    monkeypatch.setattr(sweep._LiteralSlice, "__init__", counted_init)
+    compute_rows(small_config(tmp_path, q_list=(-0.01, 0.0, 0.005, 0.01)))
+    assert len(live) == 4 and max(live) == 1
+    assert all(ref() is None for ref in slices)
+
+
+def test_sweep_rows_do_not_depend_on_the_order_of_q(tmp_path):
+    # sorted() is no total order on NaN and signed zeros: the q slices go
+    # in ascending order, -0.0 before 0.0 and NaN last, whatever order the
+    # q list gives them in
+    outputs = set()
+    for index, q_list in enumerate(itertools.permutations(("0.01", "nan", "0", "-0"))):
+        out = tmp_path / str(index)
+        assert main(["sweep", "--state", "ngbs", "--M", "4", f"--q={','.join(q_list)}",
+                     "--p", "0.1:0.9:3", "--witness", "sv", "--engine", "both",
+                     "--out", str(out)]) == 0
+        outputs.add((out / "sweep.csv").read_bytes())
+    (text,) = outputs
+    rows = list(csv.DictReader(io.StringIO(text.decode())))
+    assert list(dict.fromkeys(row["q"] for row in rows)) == ["-0.0", "0.0", "0.01", "nan"]
 
 
 # --- CSV + SVG -----------------------------------------------------------------------

@@ -465,7 +465,7 @@ def _assert_slice_rows_equal_states(states):
         # engines alternate row by row, as they do in an --engine both sweep
         for index, state in enumerate(states):
             for engine in BOTH:
-                row = evaluate(state, witness, engine, _SliceRow(grid_slice, index, engine))
+                row = evaluate(state, witness, engine, _SliceRow(grid_slice, index))
                 _assert_identical(row, evaluate(state, witness, engine))
     # every row has read its results, so the slice keeps none
     assert not grid_slice._results
@@ -486,13 +486,13 @@ def test_slice_rows_equal_per_state_results(total, rows, complex_amps, seed):
 def test_slice_rows_equal_per_state_results_on_ngbs_slices(total):
     p_values = tuple(np.linspace(0.01, 0.99, 25).tolist())
     for q in STANDARD_Q:
-        for p, state, tables in _grid_slice({}, "ngbs", total, q, p_values):
+        for p, state, table in _grid_slice({}, "ngbs", total, q, p_values):
             # a point that failed to build holds its exception
             if not isinstance(state, Exception):
                 for engine in BOTH:
                     fresh = {}
                     for witness in VARIANTS:
-                        row = evaluate(state, witness, engine, tables[engine])
+                        row = evaluate(state, witness, engine, table)
                         _assert_identical(row, evaluate(state, witness, engine, fresh))
 
 
@@ -610,10 +610,10 @@ def test_a_slice_reduces_each_signed_zero_theta_once(monkeypatch):
     pair = (Witness("sum", theta=-0.0), Witness("sum", theta=0.0))
     assert pair[0] != pair[1] and len({*pair}) == 2
     p_values = tuple(np.linspace(0.1, 0.9, 9).tolist())
-    for p, state, tables in _grid_slice({}, "ngbs", 10, -0.01, p_values):
+    for p, state, table in _grid_slice({}, "ngbs", 10, -0.01, p_values):
         for witness in pair:
             for engine in BOTH:
-                result = evaluate(state, witness, engine, tables[engine])
+                result = evaluate(state, witness, engine, table)
                 assert result.witness.label() == witness.label()
     assert reductions == Counter((witness.label(), engine) for witness in pair for engine in BOTH)
 
@@ -627,9 +627,9 @@ def test_guard_margin_on_the_q0_line_at_large_m(total):
     # 0.0039 and 0.0092 at M = 100, 200 and 400
     p_values = tuple(np.linspace(*STANDARD_P_GRID).tolist())
     worst = 0.0
-    for p, state, tables in _grid_slice({}, "ngbs", total, 0.0, p_values):
+    for p, state, table in _grid_slice({}, "ngbs", total, 0.0, p_values):
         for witness in (Witness("su11"), Witness("cs")):
-            result = evaluate(state, witness, Engine.LITERAL, tables[Engine.LITERAL])
+            result = evaluate(state, witness, Engine.LITERAL, table)
             assert result.status == "ok" and not result.nonclassical
             worst = max(worst, abs(result.value) / (STRICT_ZERO * max(1.0, result.scale)))
     assert 0.0 < worst < 0.1
