@@ -97,10 +97,6 @@ class TwoModeState:
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class FixedTotalState:
@@ -185,10 +181,6 @@ class MomentSpec:
     @property
     def conserving(self) -> bool:
         return self.imbalance == 0
-
-    def adjoint(self) -> "MomentSpec":
-        """Spec of the Hermitian-conjugate operator string."""
-        return MomentSpec(self.k, self.j, self.s, self.r)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -128,14 +128,10 @@ def _series_plan(kind: str, total: int, exponents: tuple[int, ...]):
     else:
         j, k, r, s = exponents
         d = k - j
-        for n in range(m + 1):
+        # j + r = k + s, so n - d - j = n - k and M - (n - d) - r = M - n - s:
+        # every factorial argument is non-negative exactly for n = k..M-s
+        for n in range(k, m - s + 1):
             left = n - d
-            if left < 0 or left > m:
-                continue
-            if n - k < 0 or left - j < 0:
-                continue
-            if m - n - s < 0 or m - left - r < 0:
-                continue
             log_w = 0.5 * (
                 lf[n] - lf[n - k] + lf[left] - lf[left - j]
                 + lf[m - n] - lf[m - n - s] + lf[m - left] - lf[m - left - r]

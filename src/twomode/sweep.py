@@ -400,6 +400,19 @@ def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple)
     return points
 
 
+def _built_points(cache: dict, family: str, total: int, q: float, p_values: tuple):
+    """The ``(p, state, table)`` of each point of :func:`_grid_slice` whose
+    parameters are valid: a point that failed with :class:`InvalidParams` is
+    skipped, and any other failure it stored (a
+    :class:`NormalizationAnomaly`) is raised."""
+    for p, state, table in _grid_slice(cache, family, total, q, p_values):
+        if isinstance(state, InvalidParams):
+            continue
+        if isinstance(state, Exception):
+            raise state
+        yield p, state, table
+
+
 def _q_order(q: float) -> tuple:
     """A total order on q values: ascending, -0.0 before 0.0, NaN last."""
     return (True, 0.0, 0.0) if math.isnan(q) else (False, q, math.copysign(1.0, q))
@@ -602,13 +615,14 @@ _DIAGNOSTIC_SPECS = (
 )
 
 
-def _panel_moment_orders(panel_name: str, total: int):
-    """Single-mode (daggers, lowers) pairs consumed by a panel's witnesses."""
+def _panel_moment_orders(panel_name: str, config: SweepConfig):
+    """Single-mode (daggers, lowers) pairs the report compares for a panel:
+    for an antibunching panel (fig2*), the diagonal orders of each mode in
+    its witnesses' moments, up to M; for the others, the diagnostic set."""
     if panel_name.startswith("fig2"):
-        orders = set()
-        for l, m in HOA_ORDER_SET:
-            orders.update((l, l + 1, m, max(m - 1, 0)))
-        return tuple((k, k) for k in sorted(orders) if k <= total)
+        orders = {order for witness in config.witnesses for spec in witness.specs
+                  for order in (spec.j, spec.r)}
+        return tuple((k, k) for k in sorted(orders) if k <= config.total)
     return _DIAGNOSTIC_SPECS
 
 
@@ -629,7 +643,7 @@ def _figure_plan(panels):
     plan = []
     later_tails, later_grids = set(), set()
     for name, config in reversed(panels):
-        orders = _panel_moment_orders(name, config.total)
+        orders = _panel_moment_orders(name, config)
         p_values = tuple(config.p_values().tolist())
         slices = []
         for q in sorted(config.q_list, key=_q_order)[::-1]:
@@ -656,13 +670,7 @@ def _slice_tails(cache: dict, grid: tuple, orders) -> str:
         (2, [MomentSpec(0, 0, d, low) for d, low in orders]),
     )
     points = []  # (line head, batch row) per valid point
-    for p, state, table in _grid_slice(cache, *grid):
-        if isinstance(state, InvalidParams):
-            continue
-        if isinstance(state, Exception):
-            # a valid point whose state failed to build (a
-            # NormalizationAnomaly) stops the report
-            raise state
+    for p, _, table in _built_points(cache, *grid):
         grid_slice = table.literal_slice
         points.append((f"ngbs,{total},{p!r},{q!r},", table.row))
     if not points:
@@ -801,13 +809,8 @@ def table1_report(
         for q in q_values:
             q = float(q)
             valid = tuple(p for p in p_values if NGBSParams(total, p, q).is_valid())
-            # one slice at a time: its states and tables go when it is done
-            for _, state, table in _grid_slice({}, "ngbs", total, q, valid):
+            for _, state, table in _built_points({}, "ngbs", total, q, valid):
                 valid_points += 1
-                if isinstance(state, Exception):
-                    # a valid point whose state failed to build (a
-                    # NormalizationAnomaly) stops the table
-                    raise state
                 for index, (_, witnesses, _, _) in enumerate(_TABLE_ROWS):
                     for witness in witnesses:
                         res = evaluate(state, witness, engine, table)
@@ -816,6 +819,9 @@ def table1_report(
                         minimum[index] = min(minimum[index], res.value)
                         if res.nonclassical:
                             present[index] = True
+                # one slice at a time: no point of it outlives the loop, so
+                # it goes before the next slice is built
+                del state, table
     if not valid_points:
         raise ConfigError(
             f"no valid grid point for M in {tuple(m_values)}, q in {tuple(q_values)}"

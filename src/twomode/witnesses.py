@@ -1,10 +1,14 @@
 """Nonclassicality and entanglement witnesses built from two-mode moments.
 
-Every witness is declared as data: the tuple of normally ordered moments it
-needs (:attr:`Witness.specs`, built once per witness) and a pure reduction
-that turns their values into the witness value and its scale.  Antinormally
-ordered building blocks are converted uniformly via
-``<a a^dag> = <a^dag a> + 1`` and ``<a1 a1^dag a2 a2^dag> = <(n1+1)(n2+1)>``.
+Every witness kind is declared once, as data, in one table, ``_KINDS``: the
+normally ordered moments its reduction takes, in order (for ``hoa`` a
+function of its orders l, m), and that reduction, a pure function that turns
+their values into the witness value and its scale.  The kind checks of
+:class:`Witness` and :meth:`Witness.parse`, :attr:`Witness.specs` (built once
+per witness), :func:`evaluate` and :func:`reduce_columns` all read it, so a
+new kind is one entry plus its reduction.  Antinormally ordered building
+blocks are converted uniformly via ``<a a^dag> = <a^dag a> + 1`` and
+``<a1 a1^dag a2 a2^dag> = <(n1+1)(n2+1)>``.
 
 :func:`evaluate` fills a moment table, a dict from
 :class:`~twomode.fock.MomentSpec` to value held by the caller, with the specs
@@ -72,34 +76,6 @@ DEGENERATE_DENOMINATOR = 1e-14
 DEFAULT_THETAS = (0.0, math.pi / 6, math.pi / 3, math.pi)
 EPR_FORMS = ("literal", "variance")
 
-_KINDS = ("hoa", "quadx", "quady", "sum", "sv", "epr", "su11", "cs")
-
-# the moments shared between witnesses; MomentSpec(j, k, r, s) stands for
-# <a1^dag^j a1^k a2^dag^r a2^s>
-_N1 = MomentSpec(1, 1, 0, 0)
-_N2 = MomentSpec(0, 0, 1, 1)
-_N1N2 = MomentSpec(1, 1, 1, 1)
-_PAIR = MomentSpec(0, 1, 0, 1)  # <a1 a2>
-_QUADRATURE = (
-    _N1, _N2,
-    MomentSpec(0, 1, 0, 0), MomentSpec(0, 0, 0, 1),  # <a1>, <a2>
-    MomentSpec(0, 2, 0, 0), MomentSpec(0, 0, 0, 2),  # <a1^2>, <a2^2>
-    MomentSpec(0, 1, 1, 0),                          # <a1 a2^dag>
-    _PAIR,
-)
-
-# the moments each witness kind reduces, in the order its reduction takes them
-_SPECS = {
-    "quadx": _QUADRATURE,
-    "quady": _QUADRATURE,
-    "epr": _QUADRATURE,
-    "sum": (_N1, _N2, _N1N2, MomentSpec(0, 2, 0, 2), _PAIR),
-    "sv": (_N1, _N2, MomentSpec(1, 0, 1, 0), _PAIR),
-    "su11": (_N1, _N2, _N1N2, MomentSpec(0, 2, 2, 0), MomentSpec(1, 0, 0, 1)),
-    "cs": (MomentSpec(2, 2, 0, 0), MomentSpec(0, 0, 2, 2), _N1N2),
-}
-
-
 @dataclass(frozen=True)
 class Witness:
     """A witness kind plus its parameters (when it has any).
@@ -148,13 +124,8 @@ class Witness:
     @functools.cached_property
     def specs(self) -> tuple[MomentSpec, ...]:
         """The moments the witness reduces, in the order its reduction takes them."""
-        if self.kind == "hoa":
-            l, m = self.l, self.m
-            return (
-                MomentSpec(l + 1, l + 1, m - 1, m - 1), MomentSpec(m - 1, m - 1, l + 1, l + 1),
-                MomentSpec(l, l, m, m), MomentSpec(m, m, l, l),
-            )
-        return _SPECS[self.kind]
+        moments = _KINDS[self.kind][0]
+        return moments(self.l, self.m) if callable(moments) else moments
 
     def label(self) -> str:
         if self.kind == "hoa":
@@ -233,6 +204,11 @@ _cmul = _per_row(lambda a, b: a * b)  # numpy's complex multiply loop may fuse
 # --- reductions: (witness, *moments in spec order) -> (value, scale, degenerate).
 # A degenerate denominator becomes 1.0 so that the division cannot fail; on
 # scalars np.where gives a 0-d array, whose arithmetic gives the same floats.
+
+def _hoa_moments(l, m):  # the numerator's moments, then the denominator's (see hoa)
+    return (MomentSpec(l + 1, l + 1, m - 1, m - 1), MomentSpec(m - 1, m - 1, l + 1, l + 1),
+            MomentSpec(l, l, m, m), MomentSpec(m, m, l, l))
+
 
 def _hoa(witness, num1, num2, den1, den2):
     num = num1.real + num2.real
@@ -317,15 +293,31 @@ def _cs(witness, auto1, auto2, cross):
     return geo - cross, geo + cross, False
 
 
-_REDUCTIONS = {
-    "hoa": _hoa,
-    "quadx": _quadrature,
-    "quady": _quadrature,
-    "sum": _sum,
-    "sv": _sv,
-    "epr": _epr,
-    "su11": _su11,
-    "cs": _cs,
+# the moments shared between witnesses; MomentSpec(j, k, r, s) stands for
+# <a1^dag^j a1^k a2^dag^r a2^s>
+_N1 = MomentSpec(1, 1, 0, 0)
+_N2 = MomentSpec(0, 0, 1, 1)
+_N1N2 = MomentSpec(1, 1, 1, 1)
+_PAIR = MomentSpec(0, 1, 0, 1)  # <a1 a2>
+_QUADRATURE = (
+    _N1, _N2,
+    MomentSpec(0, 1, 0, 0), MomentSpec(0, 0, 0, 1),  # <a1>, <a2>
+    MomentSpec(0, 2, 0, 0), MomentSpec(0, 0, 0, 2),  # <a1^2>, <a2^2>
+    MomentSpec(0, 1, 1, 0),                          # <a1 a2^dag>
+    _PAIR,
+)
+
+# each witness kind: (the moments its reduction takes, in order, or for hoa
+# the function of (l, m) that gives them; the reduction)
+_KINDS = {
+    "hoa": (_hoa_moments, _hoa),
+    "quadx": (_QUADRATURE, _quadrature),
+    "quady": (_QUADRATURE, _quadrature),
+    "sum": ((_N1, _N2, _N1N2, MomentSpec(0, 2, 0, 2), _PAIR), _sum),
+    "sv": ((_N1, _N2, MomentSpec(1, 0, 1, 0), _PAIR), _sv),
+    "epr": (_QUADRATURE, _epr),
+    "su11": ((_N1, _N2, _N1N2, MomentSpec(0, 2, 2, 0), MomentSpec(1, 0, 0, 1)), _su11),
+    "cs": ((MomentSpec(2, 2, 0, 0), MomentSpec(0, 0, 2, 2), _N1N2), _cs),
 }
 
 
@@ -355,7 +347,7 @@ def evaluate(
     if result is not None:
         return result(witness, engine)
     values = [cached_expectation(table, state, spec, engine) for spec in witness.specs]
-    value, scale, degenerate = _REDUCTIONS[witness.kind](witness, *values)
+    value, scale, degenerate = _KINDS[witness.kind][1](witness, *values)
     if degenerate:
         return WitnessResult(witness, math.nan, False, engine, "degenerate")
     return WitnessResult(witness, float(value), bool(_nonclassical(value, scale)), engine, "ok",
@@ -369,7 +361,7 @@ def reduce_columns(witness: Witness, columns, engine: Engine) -> list:
     bit, :func:`evaluate`'s with that engine and a table holding row i of
     each column."""
     values, scales, degenerates = np.broadcast_arrays(
-        *_REDUCTIONS[witness.kind](witness, *map(np.asarray, columns)))
+        *_KINDS[witness.kind][1](witness, *map(np.asarray, columns)))
     rows = zip(values.tolist(), scales.tolist(), _nonclassical(values, scales).tolist(),
                degenerates.tolist())
     return [WitnessResult(witness, math.nan, False, engine, "degenerate") if degenerate

@@ -226,4 +226,4 @@ def test_coherent_truncation_guard():
 
 def test_coherent_normalized_after_truncation():
     state = coherent_product(0.5, 0.5, 30)
-    assert abs(state.norm - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(state.amps) - 1.0) <= 1e-12

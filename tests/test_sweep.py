@@ -369,6 +369,29 @@ def test_compute_rows_holds_one_q_slice_at_a_time(monkeypatch, tmp_path):
     assert all(ref() is None for ref in slices)
 
 
+def test_table1_holds_one_q_slice_at_a_time(monkeypatch):
+    # each (M, q) slice of table1, its states and its moment columns, is
+    # gone before the next one is built: no point of the last slice stays
+    # bound after its loop
+    import weakref
+
+    import twomode.sweep as sweep
+
+    slices = []  # a weak reference to each slice built
+    live = []  # slices alive right after each build
+    init = sweep._LiteralSlice.__init__
+
+    def counted_init(self, states):
+        init(self, states)
+        slices.append(weakref.ref(self))
+        live.append(sum(ref() is not None for ref in slices))
+
+    monkeypatch.setattr(sweep._LiteralSlice, "__init__", counted_init)
+    table1_report(m_values=(6, 8), q_values=(-0.01, 0.0, 0.01), p_grid=(0.1, 0.9, 5))
+    assert len(live) == 6 and max(live) == 1
+    assert all(ref() is None for ref in slices)
+
+
 def test_sweep_rows_do_not_depend_on_the_order_of_q(tmp_path):
     # sorted() is no total order on NaN and signed zeros: the q slices go
     # in ascending order, -0.0 before 0.0 and NaN last, whatever order the
@@ -741,7 +764,7 @@ def test_figures_build_each_state_and_moment_once(monkeypatch, tmp_path):
     for name, config in figure_panels(tmp_path):
         (engine,) = config.engines
         panel_engine = "moment_oracle" if engine is Engine.ORACLE else "literal_moment"
-        orders = _panel_moment_orders(name, config.total)
+        orders = _panel_moment_orders(name, config)
         compared = [MomentSpec(d, low, 0, 0) for d, low in orders]
         compared += [MomentSpec(0, 0, d, low) for d, low in orders]
         for q in config.q_list:
@@ -819,7 +842,7 @@ def test_figures_compare_and_reduce_once_per_distinct_slice(monkeypatch, tmp_pat
     compared = set()  # (M, q, mode specs)
     reduced = {}  # (M, q, witness, engine) -> valid points of the slice
     for name, config in figure_panels(tmp_path):
-        orders = _panel_moment_orders(name, config.total)
+        orders = _panel_moment_orders(name, config)
         (engine,) = config.engines
         for q in config.q_list:
             compared.add((config.total, q, tuple(MomentSpec(d, low, 0, 0) for d, low in orders)))
@@ -1085,6 +1108,24 @@ def test_cli_compare_takes_every_fixed_total_family(capsys):
     rows = {tuple(line.split()[:3]): line.split()[3:5] for line in lines[2:]}
     assert [float(v) for v in rows[("1", "1", "1")]] == pytest.approx([2.0, 2.0])
     assert [float(v) for v in rows[("1", "0", "1")]] == [0.0, 0.0]
+
+
+def test_cli_import_loads_neither_logging_nor_json():
+    # every module that import twomode.cli loads is paid at each start of
+    # the program; logging and json, when used, are to be imported lazily
+    import os
+    import subprocess
+    import sys
+
+    import twomode
+
+    src = str(Path(twomode.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, twomode.cli; print(sorted({'logging', 'json'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("family", ["coherent", "squeezed"])

@@ -273,6 +273,31 @@ def test_witness_parse_rejects_bad_tokens(token):
         Witness.parse(token)
 
 
+# the moment arguments each kind's reduction takes, after the witness
+_MOMENTS_PER_KIND = {"hoa": 4, "quadx": 8, "quady": 8, "epr": 8, "sum": 5, "sv": 4,
+                     "su11": 5, "cs": 3}
+
+
+def test_each_witness_kind_declares_the_moments_its_reduction_takes():
+    import inspect
+
+    from twomode.witnesses import _KINDS
+
+    assert set(_KINDS) == set(_MOMENTS_PER_KIND)
+    for kind, (_, reduction) in _KINDS.items():
+        takes = len(inspect.signature(reduction).parameters) - 1  # the witness first
+        assert takes == _MOMENTS_PER_KIND[kind], kind
+    variants = [witness for kind in _KINDS for witness in Witness.parse(kind)]
+    variants += [Witness("hoa", l=l, m=m) for l, m in ((2, 1), (2, 2), (5, 1), (9, 1), (9, 9))]
+    variants += [Witness("epr", form="variance"), Witness("sum", theta=-0.0),
+                 Witness("sum", theta=0.5), Witness("sum", theta=-2.5)]
+    for witness in variants:
+        assert len(witness.specs) == _MOMENTS_PER_KIND[witness.kind], witness
+        assert all(isinstance(spec, MomentSpec) for spec in witness.specs), witness
+        # the label is the witness's token: it parses back to the witness
+        assert Witness.parse(witness.label()) == [witness], witness
+
+
 def test_witness_requires_valid_orders():
     with pytest.raises(ValueError):
         Witness("hoa", l=1, m=2)
