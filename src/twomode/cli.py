@@ -64,10 +64,12 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--p", default=None, help="p grid as start:end:steps")
     p_sweep.add_argument("--witness", action="append", default=None,
                          help="witness token, e.g. hoa:9,1 (repeatable)")
-    p_sweep.add_argument("--engine", default="literal", help="literal|oracle|both")
+    # no default for --engine and --format: from_fields applies them, and
+    # _cmd_sweep rejects any field flag given beside --config
+    p_sweep.add_argument("--engine", default=None, help="literal|oracle|both (default literal)")
     p_sweep.add_argument("--out", type=Path, default=None, help="output directory")
-    p_sweep.add_argument("--format", dest="output_format", default="csv",
-                         help="csv|svg+csv")
+    p_sweep.add_argument("--format", dest="output_format", default=None,
+                         help="csv|svg+csv (default csv)")
 
     p_fig = sub.add_parser("figures", help="write the reference figure panels")
     p_fig.add_argument("--out", type=Path, required=True, help="output directory")
@@ -87,14 +89,18 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_sweep(args) -> int:
-    if args.config is not None:
-        config = load_config(args.config)
+    fields = {
+        "state": args.state, "m": args.total, "q": args.q, "p": args.p,
+        "witnesses": None if args.witness is None else ";".join(args.witness),
+        "engine": args.engine, "out": args.out, "format": args.output_format,
+    }
+    if args.config is None:
+        config = SweepConfig.from_fields(fields)
+    elif any(value is not None for value in fields.values()):
+        raise ConfigError("--config takes none of --state, --M, --q, --p, --witness, "
+                          "--engine, --out, --format")
     else:
-        config = SweepConfig.from_fields({
-            "state": args.state, "m": args.total, "q": args.q, "p": args.p,
-            "witnesses": None if args.witness is None else ";".join(args.witness),
-            "engine": args.engine, "out": args.out, "format": args.output_format,
-        })
+        config = load_config(args.config)
     rows = run_sweep(config)
     ok = sum(1 for r in rows if r.status == "ok")
     print(f"wrote {len(rows)} rows ({ok} ok) to {config.output_path}")

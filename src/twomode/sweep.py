@@ -142,10 +142,14 @@ class SweepConfig:
         Keys: state, m, q (comma-separated), p (start:end:steps), witnesses
         (';'- or space-separated tokens), engine (literal|oracle|both,
         default literal), out, format (csv|svg+csv, default csv).  A key
-        that is absent or None is missing.
+        that is absent or None is missing; any other key is an error.
         """
+        required = {"state", "m", "q", "p", "witnesses", "out"}
+        unknown = set(values) - required - {"engine", "format"}
+        if unknown:
+            raise ConfigError(f"unknown fields: {sorted(unknown)}")
         values = {key: value for key, value in values.items() if value is not None}
-        missing = {"state", "m", "q", "p", "witnesses", "out"} - set(values)
+        missing = required - set(values)
         if missing:
             raise ConfigError(f"missing fields: {sorted(missing)}")
         try:
@@ -374,7 +378,12 @@ def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple)
     maps ``(family, M, q, p_values)`` to their list: each state's table is
     its :class:`_SliceRow` of one :class:`_LiteralSlice` (None for a failed
     point).  A caller that passes one cache to several sweeps builds each
-    distinct state once and computes each of its moments once per engine.
+    distinct state once and computes each of its moments once per engine:
+    ``reproduce_figures`` does, for its panels and its report.
+    :func:`compute_rows` and :func:`table1_report` pass none, and get a new
+    cache per q slice from :func:`_evaluations`; each point of the whole p
+    grid is built, and so validated, once, with the invalid ones kept as
+    their failures.
     (``ngbs`` gives the same state for q = 0.0 and -0.0, which share a key.)
     Other families give a generator that builds each state when its point
     is reached, with a plain dict as its table, and cache nothing: a
@@ -400,19 +409,6 @@ def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple)
     return points
 
 
-def _built_points(cache: dict, family: str, total: int, q: float, p_values: tuple):
-    """The ``(p, state, table)`` of each point of :func:`_grid_slice` whose
-    parameters are valid: a point that failed with :class:`InvalidParams` is
-    skipped, and any other failure it stored (a
-    :class:`NormalizationAnomaly`) is raised."""
-    for p, state, table in _grid_slice(cache, family, total, q, p_values):
-        if isinstance(state, InvalidParams):
-            continue
-        if isinstance(state, Exception):
-            raise state
-        yield p, state, table
-
-
 def _q_order(q: float) -> tuple:
     """A total order on q values: ascending, -0.0 before 0.0, NaN last."""
     return (True, 0.0, 0.0) if math.isnan(q) else (False, q, math.copysign(1.0, q))
@@ -434,34 +430,40 @@ def compute_rows(config: SweepConfig) -> list[SweepRow]:
     return _compute_rows(config)
 
 
-def _compute_rows(config: SweepConfig, cache: dict | None = None) -> list[SweepRow]:
-    """:func:`compute_rows` with states and moment tables from ``cache``
-    (see :func:`_grid_slice`), or from a new one per q slice."""
-    witnesses = sorted(config.witnesses, key=lambda w: w.label())
-    engines = sorted(config.engines, key=lambda e: e.value)
+def _evaluations(config: SweepConfig, cache: dict | None = None):
+    """One ``(q, p, witness, engine, outcome)`` per row of
+    :func:`compute_rows`, in its row order, with states and moment tables
+    from ``cache`` (see :func:`_grid_slice`), or from a new one per q slice.
+    ``outcome`` is the point's :class:`~twomode.witnesses.WitnessResult`, or
+    the failure its build stored (see :func:`_point_state`)."""
+    pairs = [(witness, engine) for witness in sorted(config.witnesses, key=Witness.label)
+             for engine in sorted(config.engines, key=lambda e: e.value)]
     p_values = tuple(config.p_values().tolist())
-    rows: list[SweepRow] = []
     for q in sorted(config.q_list, key=_q_order):
         for p, state, table in _grid_slice(
                 {} if cache is None else cache, config.state_family, config.total, q, p_values):
-            for witness in witnesses:
-                for engine in engines:
-                    value = nonclassical = None
-                    status = "invalid_params"
-                    if not isinstance(state, Exception):
-                        res = evaluate(state, witness, engine, table)
-                        status = res.status
-                        if status == "ok":
-                            value, nonclassical = res.value, res.nonclassical
-                    rows.append(SweepRow(
-                        config.state_family, config.total, p, q, witness.kind,
-                        witness.l, witness.m, witness.theta, witness.form,
-                        engine.value, value, nonclassical, status,
-                    ))
+            for witness, engine in pairs:
+                yield q, p, witness, engine, state if isinstance(state, Exception) else (
+                    evaluate(state, witness, engine, table))
             # an uncached (coherent) state goes before the next one is
             # built: its slice holds one state grid at a time; and without a
-            # shared cache no row of this slice outlives it
+            # shared cache no point of this slice outlives it
             del state, table
+
+
+def _compute_rows(config: SweepConfig, cache: dict | None = None) -> list[SweepRow]:
+    """:func:`compute_rows` with states and moment tables from ``cache``
+    (see :func:`_grid_slice`), or from a new one per q slice."""
+    rows: list[SweepRow] = []
+    for q, p, witness, engine, outcome in _evaluations(config, cache):
+        status = "invalid_params" if isinstance(outcome, Exception) else outcome.status
+        value, nonclassical = (
+            (outcome.value, outcome.nonclassical) if status == "ok" else (None, None))
+        rows.append(SweepRow(
+            config.state_family, config.total, p, q, witness.kind,
+            witness.l, witness.m, witness.theta, witness.form,
+            engine.value, value, nonclassical, status,
+        ))
     return rows
 
 
@@ -670,7 +672,11 @@ def _slice_tails(cache: dict, grid: tuple, orders) -> str:
         (2, [MomentSpec(0, 0, d, low) for d, low in orders]),
     )
     points = []  # (line head, batch row) per valid point
-    for p, _, table in _built_points(cache, *grid):
+    for p, state, table in _grid_slice(cache, *grid):
+        if isinstance(state, InvalidParams):
+            continue
+        if isinstance(state, Exception):
+            raise state
         grid_slice = table.literal_slice
         points.append((f"ngbs,{total},{p!r},{q!r},", table.row))
     if not points:
@@ -790,39 +796,39 @@ def table1_report(
     A criterion is "present" when any valid grid point is flagged
     nonclassical by any of its witness variants.  Single-mode moments go
     through the requested engine (literal by default); the purely
-    number-conserving witnesses are engine-independent.  Raises
-    :class:`ConfigError` when no grid point is valid (for example an empty
-    q or M list), since every row would then read "No" on no evidence, and
-    before any work when an M is over the slice budget of a sweep
-    (:func:`_check_budget`).
+    number-conserving witnesses are engine-independent.  Each M is one
+    ngbs sweep of every row's witnesses, run through the walk of
+    :func:`compute_rows`, and each row's values reach ``min()`` in its
+    order (M as given, then ascending q, p and witness label), which
+    decides between 0.0 and -0.0.  Raises :class:`ConfigError` before any
+    work when an M's sweep is invalid (:meth:`SweepConfig.validate`: a
+    negative M, an empty q list, an M over the slice budget), and when no
+    grid point is valid (for example an empty M list), since every row
+    would then read "No" on no evidence.
     """
-    for total in m_values:
-        _check_budget("ngbs", int(total), p_grid, (engine,))
-    p_values = np.linspace(*p_grid).tolist()
+    rows = {witness: index for index, (_, witnesses, _, _) in enumerate(_TABLE_ROWS)
+            for witness in witnesses}
+    configs = [
+        SweepConfig("ngbs", int(total), tuple(map(float, q_values)), p_grid, tuple(rows),
+                    (engine,), Path())
+        for total in m_values
+    ]
     present = [False] * len(_TABLE_ROWS)
     minimum = [math.inf] * len(_TABLE_ROWS)
-    valid_points = 0
-    # each row's values reach min() in (M, q, p, witness) order, which
-    # decides between 0.0 and -0.0
-    for total in m_values:
-        total = int(total)
-        for q in q_values:
-            q = float(q)
-            valid = tuple(p for p in p_values if NGBSParams(total, p, q).is_valid())
-            for _, state, table in _built_points({}, "ngbs", total, q, valid):
-                valid_points += 1
-                for index, (_, witnesses, _, _) in enumerate(_TABLE_ROWS):
-                    for witness in witnesses:
-                        res = evaluate(state, witness, engine, table)
-                        if res.status != "ok":
-                            continue
-                        minimum[index] = min(minimum[index], res.value)
-                        if res.nonclassical:
-                            present[index] = True
-                # one slice at a time: no point of it outlives the loop, so
-                # it goes before the next slice is built
-                del state, table
-    if not valid_points:
+    valid = False
+    for config in configs:
+        for _, _, witness, _, outcome in _evaluations(config):
+            if isinstance(outcome, InvalidParams):
+                continue
+            if isinstance(outcome, Exception):
+                raise outcome
+            valid = True
+            if outcome.status == "ok":
+                index = rows[witness]
+                minimum[index] = min(minimum[index], outcome.value)
+                if outcome.nonclassical:
+                    present[index] = True
+    if not valid:
         raise ConfigError(
             f"no valid grid point for M in {tuple(m_values)}, q in {tuple(q_values)}"
         )

@@ -55,9 +55,11 @@ def test_traced_table1_records_its_required_spans(tmp_path):
     summary = json.loads(out.read_text())
     valid = sum(NGBSParams(10, float(p), q).is_valid()
                 for q in (-0.01, 0.0) for p in np.linspace(*STANDARD_P_GRID))
-    # each valid state built once, 13 witnesses each, and one literal batch
-    # per (q, spec): 2 q x 26 specs
-    assert summary["calls"] == {workloads.NGBS: valid, workloads.EVALUATE: 13 * valid,
+    # each point built once (the invalid ones raise inside ngbs), 13
+    # witnesses for each valid one, and one literal batch per (q, spec):
+    # 2 q x 26 specs
+    assert valid == 180
+    assert summary["calls"] == {workloads.NGBS: 2 * 99, workloads.EVALUATE: 13 * valid,
                                 workloads.LITERAL: 52}
     # the guard metric reads the results of the per-state evaluate calls on
     # the q = 0 slice; it reads 0 if table1 gets its results some other way

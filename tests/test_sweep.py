@@ -222,6 +222,17 @@ def test_load_config_missing_keys(tmp_path):
         load_config(path)
 
 
+def test_load_config_names_unknown_keys(tmp_path):
+    # a misspelt key would otherwise leave its field at the default: here the
+    # literal engine alone, where both engines were asked for
+    path = tmp_path / "typo.cfg"
+    path.write_text(f"state = ngbs\nM = 4\nq = 0\np = 0.2:0.8:3\nwitnesses = sv\n"
+                    f"engnie = both\nout = {tmp_path / 'out'}\n")
+    with pytest.raises(ConfigError, match=r"^unknown fields: \['engnie'\]$"):
+        load_config(path)
+    assert not (tmp_path / "out").exists()
+
+
 # --- row generation ----------------------------------------------------------------
 
 def test_row_count_conservation(tmp_path):
@@ -802,11 +813,12 @@ def test_table1_computes_each_literal_moment_once_per_slice(monkeypatch):
     rows = table1_report()
 
     specs = {spec for row in rows for witness in row.witnesses for spec in witness.specs}
-    valid = [(M, float(p), q) for M in STANDARD_M for q in STANDARD_Q
-             for p in np.linspace(*STANDARD_P_GRID) if NGBSParams(M, float(p), q).is_valid()]
-    assert len(specs) == 26 and len(valid) == 1106
-    # invalid points are skipped before they are built
-    assert builds == Counter(dict.fromkeys(valid, 1))
+    grid = [(M, float(p), q) for M in STANDARD_M for q in STANDARD_Q
+            for p in np.linspace(*STANDARD_P_GRID)]
+    valid = [point for point in grid if NGBSParams(*point).is_valid()]
+    assert len(specs) == 26 and len(grid) == 1188 and len(valid) == 1106
+    # each point is built once; the invalid ones raise inside ngbs
+    assert builds == Counter(dict.fromkeys(grid, 1))
     assert set(calls) == {(point, spec, "literal_moment") for point in valid for spec in specs}
     assert max(calls.values()) == 1
     # one batch call per (M, q, spec): 2 M x 6 q x 26 specs
@@ -814,6 +826,20 @@ def test_table1_computes_each_literal_moment_once_per_slice(monkeypatch):
     # and one reduction per (M, q, witness), over all the slice's rows
     assert sum(reductions.values()) == 12 * 13
     assert sum(n for n, _ in reductions.elements()) == 13 * len(valid)
+
+
+def test_table1_validates_each_grid_point_once(monkeypatch):
+    # inside ngbs: no point is checked beforehand and then again when built
+    validations = Counter()
+    validate = NGBSParams.validate
+
+    def counted(params):
+        validations[(params.total, params.p, params.q)] += 1
+        return validate(params)
+
+    monkeypatch.setattr(NGBSParams, "validate", counted)
+    table1_report()
+    assert len(validations) == 1188 and set(validations.values()) == {1}
 
 
 def test_figures_compare_and_reduce_once_per_distinct_slice(monkeypatch, tmp_path):
@@ -935,6 +961,26 @@ def test_cli_sweep_config_file(tmp_path):
     )
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--M", "6"], ["--engine", "oracle"], ["--format", "csv"], ["--state", "ngbs"],
+    ["--q", "0"], ["--p", "0.2:0.8:3"], ["--witness", "sv"], ["--out", "elsewhere"],
+    ["--M", "6", "--engine", "oracle"],
+])
+def test_cli_sweep_rejects_field_flags_beside_a_config_file(tmp_path, capsys, flags):
+    # the file's fields would otherwise run and the flags go unheard
+    cfg = tmp_path / "s.cfg"
+    out = tmp_path / "from_cfg"
+    cfg.write_text(
+        f"state = ngbs\nM = 4\nq = 0\np = 0.2:0.8:3\nwitnesses = sv\nout = {out}\n"
+    )
+    assert main(["sweep", "--config", str(cfg), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --config takes none of --state, --M, --q, --p, "
+                            "--witness, --engine, --out, --format\n")
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path):
