@@ -11,11 +11,8 @@ from .moments import (
     Engine,
     MomentReport,
     compare_engines,
-    cross_moment,
     expectation,
     literal_moment,
-    mode1_moment,
-    mode2_moment,
 )
 from .states import (
     InvalidParams,
@@ -31,14 +28,7 @@ from .witnesses import (
     DEFAULT_THETAS,
     Witness,
     WitnessResult,
-    cauchy_schwarz,
-    epr,
     evaluate,
-    hoa,
-    quad_squeeze,
-    su11,
-    sum_squeeze,
-    sv,
 )
 
 __version__ = "0.1.0"
@@ -58,22 +48,12 @@ __all__ = [
     "Witness",
     "WitnessResult",
     "binomial_state",
-    "cauchy_schwarz",
     "coherent_product",
     "compare_engines",
-    "cross_moment",
-    "epr",
     "evaluate",
     "expectation",
     "fock_pair",
-    "hoa",
     "literal_moment",
-    "mode1_moment",
-    "mode2_moment",
     "moment_oracle",
     "ngbs",
-    "quad_squeeze",
-    "su11",
-    "sum_squeeze",
-    "sv",
 ]

@@ -19,10 +19,13 @@ evaluation routes are kept:
   which answers a number-changing moment of a fixed-total state with ``0j``
   by the selection rule and takes every other moment from its Fock grids;
   it takes a :class:`MomentBatch` too.
-- ``Engine.LITERAL``: single-mode moments from the closed-form series;
-  cross-mode number-conserving moments from the exact one-index closed form
-  (identical to the oracle); cross-mode number-changing moments factorized
-  into a product of the two single-mode series.
+- ``Engine.LITERAL``: every moment via :func:`literal_moment`, the one entry
+  to the series.  A spec ``(j, k, 0, 0)``, the identity ``(0, 0, 0, 0)``
+  included, takes the mode-1 series; a spec ``(0, 0, r, s)`` the mode-2
+  series; a mixed number-conserving spec the exact one-index cross series
+  (identical to the oracle); and a mixed number-changing spec the product of
+  its mode-1 and mode-2 series.  ``_single_mode`` is the one home of the
+  single-mode rule, read by :func:`literal_moment` and ``compare_engines``.
 
 ``compare_engines`` quantifies the disagreement per moment, on one state or
 on a :class:`MomentBatch`.
@@ -80,11 +83,8 @@ __all__ = [
     "MomentReport",
     "cached_expectation",
     "compare_engines",
-    "cross_moment",
     "expectation",
     "literal_moment",
-    "mode1_moment",
-    "mode2_moment",
 ]
 
 
@@ -109,6 +109,12 @@ def _series_plan(kind: str, total: int, exponents: tuple[int, ...]):
 
     ``kind`` is ``"mode1"`` or ``"mode2"`` (exponents ``(daggers, lowers)``)
     or ``"cross"`` (exponents ``(j, k, r, s)`` of a number-conserving spec).
+    With d = k - j = r - s the cross operator maps basis index n to n - d,
+    so its expectation is the one-index sum
+
+        sum_n conj(c_(n-d)) c_n * w1(n-d, j) w1(n, k) w2(M-n+d, r) w2(M-n, s)
+
+    where w1/w2 are square roots of falling factorials.
     Weights are scalar ``math.exp`` values, term by term (module docstring),
     of log-factorials from the one table of :mod:`twomode.fock`.
     """
@@ -145,11 +151,15 @@ def _series_plan(kind: str, total: int, exponents: tuple[int, ...]):
     return plan
 
 
-def _zero(state):
-    """The value of an empty series: ``0j``, or a zero per row of a batch."""
-    if isinstance(state, MomentBatch):
-        return np.zeros(len(state.amplitudes), dtype=complex)
-    return 0.0 + 0.0j
+def _single_mode(spec: MomentSpec):
+    """``(kind, exponents)`` of the series that answers a single-mode spec:
+    ``("mode1", (j, k))`` when mode 2 is untouched (the identity included),
+    ``("mode2", (r, s))`` when mode 1 is, and None for a mixed spec."""
+    if spec.r == 0 and spec.s == 0:
+        return "mode1", (spec.j, spec.k)
+    if spec.j == 0 and spec.k == 0:
+        return "mode2", (spec.r, spec.s)
+    return None
 
 
 def _series(state, kind: str, exponents: tuple[int, ...]):
@@ -158,71 +168,38 @@ def _series(state, kind: str, exponents: tuple[int, ...]):
     Works on the last axis of the amplitudes, so a :class:`MomentBatch`
     gives an array of one value per row, each the value its row alone gives.
     Adding the ``cumsum`` total to ``0j`` gives a running sum started at
-    ``0j``, so even an all-zero sum has the sign of the scalar loop's.
+    ``0j``, so even an all-zero sum has the sign of the scalar loop's.  An
+    empty series gives ``0j``, or a zero per row of a batch.
     """
     bra, ket, w = _series_plan(kind, state.total, exponents)
     if not len(w):
-        return _zero(state)
+        if isinstance(state, MomentBatch):
+            return np.zeros(len(state.amplitudes), dtype=complex)
+        return 0.0 + 0.0j
     c = state.amplitudes
     return (0.0 + 0.0j) + (np.conj(c[..., bra]) * c[..., ket] * w).cumsum(axis=-1)[..., -1]
-
-
-def mode1_moment(state, daggers: int, lowers: int):
-    """Closed-form series for ``<a1^dag^daggers a1^lowers>``.
-
-    Empty sums (e.g. lowers > M) return 0; terms whose factorial arguments
-    would be negative are zero by convention.
-    """
-    if daggers < 0 or lowers < 0:
-        raise ValueError("exponents must be non-negative")
-    return _series(state, "mode1", (daggers, lowers))
-
-
-def mode2_moment(state, daggers: int, lowers: int):
-    """Closed-form series for ``<a2^dag^daggers a2^lowers>`` (mirror of mode 1)."""
-    if daggers < 0 or lowers < 0:
-        raise ValueError("exponents must be non-negative")
-    return _series(state, "mode2", (daggers, lowers))
-
-
-def cross_moment(state, spec: MomentSpec):
-    """Exact closed form for a number-conserving moment on a fixed-total state.
-
-    With d = k - j = r - s the operator maps basis index n to n - d, so the
-    expectation collapses to a single sum
-
-        sum_n conj(c_(n-d)) c_n * w1(n-d, j) w1(n, k) w2(M-n+d, r) w2(M-n, s)
-
-    where w1/w2 are square roots of falling factorials.  Number-changing
-    specs return exactly 0 (orthogonal total-photon sectors).
-    """
-    if not spec.conserving:
-        return _zero(state)
-    return _series(state, "cross", (spec.j, spec.k, spec.r, spec.s))
 
 
 def literal_moment(state, spec: MomentSpec):
     """Literal-engine value of an arbitrary moment on a fixed-total state.
 
-    Pure single-mode specs use the closed-form series of their mode; mixed
-    number-conserving specs use the exact joint closed form; mixed
-    number-changing specs factorize into the product of the two single-mode
-    series (the only nonzero value the series machinery can assign them).
+    Single-mode specs use the closed-form series of their mode (the identity
+    the mode-1 series); mixed number-conserving specs use the exact joint
+    closed form; mixed number-changing specs factorize into the product of
+    the two single-mode series (the only nonzero value the series machinery
+    can assign them).  Empty sums (e.g. lowers > M) give 0.
     A :class:`MomentBatch` in place of the state gives a ``complex128``
     array of one value per row, each the value of that row's state.
     """
     if not isinstance(state, (FixedTotalState, MomentBatch)):
         raise TypeError("the literal engine requires a fixed-total state")
-    pure1 = spec.r == 0 and spec.s == 0
-    pure2 = spec.j == 0 and spec.k == 0
-    if pure1:
-        return mode1_moment(state, spec.j, spec.k)
-    if pure2:
-        return mode2_moment(state, spec.r, spec.s)
+    single = _single_mode(spec)
+    if single is not None:
+        return _series(state, *single)
     if spec.conserving:
-        return cross_moment(state, spec)
-    first = mode1_moment(state, spec.j, spec.k)
-    second = mode2_moment(state, spec.r, spec.s)
+        return _series(state, "cross", (spec.j, spec.k, spec.r, spec.s))
+    first = _series(state, "mode1", (spec.j, spec.k))
+    second = _series(state, "mode2", (spec.r, spec.s))
     if isinstance(state, MomentBatch):
         # scalar products, row by row, as the states alone multiply them
         return np.array([a * b for a, b in zip(first, second)], dtype=complex)
@@ -286,14 +263,12 @@ def compare_engines(state, specs, tables=None) -> list[MomentReport]:
     oracle = tables.setdefault(Engine.ORACLE, {})
     reports = []
     for spec in specs:
-        pure1 = spec.r == 0 and spec.s == 0
-        pure2 = spec.j == 0 and spec.k == 0
-        if not (pure1 or pure2):
+        single = _single_mode(spec)
+        if single is None:
             raise ValueError(f"compare_engines expects single-mode specs, got {spec}")
         lit = cached_expectation(literal, state, spec, Engine.LITERAL)
         ora = cached_expectation(oracle, state, spec, Engine.ORACLE)
-        kind, exponents = ("mode1", (spec.j, spec.k)) if pure1 else ("mode2", (spec.r, spec.s))
-        degenerate = not len(_series_plan(kind, state.total, exponents)[2])
+        degenerate = not len(_series_plan(single[0], state.total, single[1])[2])
         # the scalar difference, row by row for a batch, as each state takes
         # it: np.abs rounds complex moduli differently
         if isinstance(state, MomentBatch):

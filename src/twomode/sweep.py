@@ -265,8 +265,9 @@ def parse_list(text: str, convert=float, what: str = "q list") -> tuple:
 def load_config(path: Path) -> SweepConfig:
     """Read a sweep configuration from a flat key=value file.
 
-    Keys as in :meth:`SweepConfig.from_fields`, in any case (``M = 20``).
-    Lines starting with '#' are comments.
+    Keys as in :meth:`SweepConfig.from_fields`, in any case (``M = 20``),
+    each at most once: ``M`` and ``m`` are one key.  Lines starting with '#'
+    are comments.
     """
     values: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
@@ -276,14 +277,11 @@ def load_config(path: Path) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"expected key=value, got {line!r}")
         key, _, val = line.partition("=")
-        values[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key in values:
+            raise ConfigError(f"repeated field: {key!r}")
+        values[key] = val.strip()
     return SweepConfig.from_fields(values)
-
-
-def _delta_state(total: int, n1: int) -> FixedTotalState:
-    amps = np.zeros(total + 1)
-    amps[n1] = 1.0
-    return FixedTotalState(total, amps)
 
 
 def _build_state(family: str, total: int, p: float, q: float):
@@ -294,8 +292,10 @@ def _build_state(family: str, total: int, p: float, q: float):
     if family == "fock":
         if not 0.0 <= p <= 1.0:
             raise InvalidParams(f"p must lie in [0, 1], got {p!r}")
-        # floor-half-up keeps the photon split monotone in p
-        return _delta_state(total, int(math.floor(p * total + 0.5)))
+        # the Fock pair |n1, M - n1>; floor-half-up keeps n1 monotone in p
+        amps = np.zeros(total + 1)
+        amps[int(math.floor(p * total + 0.5))] = 1.0
+        return FixedTotalState(total, amps)
     if family == "coherent":
         if not 0.0 <= p <= 1.0:
             raise InvalidParams(f"p must lie in [0, 1], got {p!r}")

@@ -1,9 +1,12 @@
 """Nonclassicality and entanglement witnesses built from two-mode moments.
 
-Every witness kind is declared once, as data, in one table, ``_KINDS``: the
-normally ordered moments its reduction takes, in order (for ``hoa`` a
-function of its orders l, m), and that reduction, a pure function that turns
-their values into the witness value and its scale.  The kind checks of
+One public call evaluates a witness on a state,
+``evaluate(state, Witness("hoa", l=9, m=1), engine)``; a kind has no function
+of its own.  Every witness kind is declared once, as data, in one table,
+``_KINDS``: the normally ordered moments its reduction takes, in order (for
+``hoa`` a function of its orders l, m), and that reduction, a pure function
+that turns their values into the witness value and its scale.  Each
+reduction's docstring gives its formula.  The kind checks of
 :class:`Witness` and :meth:`Witness.parse`, :attr:`Witness.specs` (built once
 per witness), :func:`evaluate` and :func:`reduce_columns` all read it, so a
 new kind is one entry plus its reduction.  Antinormally ordered building
@@ -59,15 +62,8 @@ __all__ = [
     "STRICT_ZERO",
     "Witness",
     "WitnessResult",
-    "cauchy_schwarz",
     "evaluate",
-    "hoa",
     "reduce_columns",
-    "epr",
-    "quad_squeeze",
-    "sum_squeeze",
-    "sv",
-    "su11",
 ]
 
 STRICT_ZERO = 1e-12
@@ -205,12 +201,20 @@ _cmul = _per_row(lambda a, b: a * b)  # numpy's complex multiply loop may fuse
 # A degenerate denominator becomes 1.0 so that the division cannot fail; on
 # scalars np.where gives a 0-d array, whose arithmetic gives the same floats.
 
-def _hoa_moments(l, m):  # the numerator's moments, then the denominator's (see hoa)
+def _hoa_moments(l, m):  # the numerator's moments, then the denominator's (see _hoa)
     return (MomentSpec(l + 1, l + 1, m - 1, m - 1), MomentSpec(m - 1, m - 1, l + 1, l + 1),
             MomentSpec(l, l, m, m), MomentSpec(m, m, l, l))
 
 
 def _hoa(witness, num1, num2, den1, den2):
+    """Higher-order two-mode antibunching of order (l, m): N/D - 1 with
+
+    N = <a1^dag^(l+1) a1^(l+1) a2^dag^(m-1) a2^(m-1)> + (modes swapped),
+    D = <a1^dag^l a1^l a2^dag^m a2^m> + (modes swapped).
+
+    Antibunched when negative.  All moments are number conserving, so both
+    engines agree.
+    """
     num = num1.real + num2.real
     den = den1.real + den2.real
     degenerate = den <= DEGENERATE_DENOMINATOR
@@ -219,6 +223,16 @@ def _hoa(witness, num1, num2, den1, den2):
 
 
 def _quadrature(witness, n1, n2, a1, a2, a1sq, a2sq, cross_mixed, cross_lower):
+    """Two-mode quadrature squeezing factor S_x (``quadx``) or S_y (``quady``):
+
+    S_x = Re<a1^2 + a2^2 + 2(a1 a2^dag + a1 a2)> + <a1 a1^dag + a2 a2^dag>
+          - 2 Re^2<a1 + a2> - 2
+    S_y = -Re<a1^2 + a2^2 - 2(a1 a2^dag - a1 a2)> + <a1 a1^dag + a2 a2^dag>
+          - 2 Im^2<a1 + a2> - 2
+
+    A negative factor means that quadrature's variance is below the vacuum
+    level.
+    """
     anti = n1.real + n2.real + 2.0  # <a1 a1^dag + a2 a2^dag>
     if witness.kind == "quadx":
         term = (a1sq + a2sq + 2.0 * (cross_mixed + cross_lower)).real
@@ -230,6 +244,13 @@ def _quadrature(witness, n1, n2, a1, a2, a1sq, a2sq, cross_mixed, cross_lower):
 
 
 def _sum(witness, n1, n2, n1n2, pair_sq, pair):
+    """Sum-squeezing degree of ``(e^(i theta) a1^dag a2^dag + e^(-i theta) a1 a2) / 2``:
+
+    [2<a1 a1^dag a2 a2^dag> + 2 Re(e^(-2i theta) <a1^2 a2^2>)
+     - 4 Re^2(e^(-i theta) <a1 a2>)] / <a1 a1^dag + a2 a2^dag - 1> - 2.
+
+    Periodic in theta with period pi.
+    """
     n1, n2 = n1.real, n2.real
     anti_pair = n1n2.real + n1 + n2 + 1.0  # <(n1+1)(n2+1)>
     den = n1 + n2 + 1.0
@@ -246,12 +267,23 @@ def _sum(witness, n1, n2, n1n2, pair_sq, pair):
 
 
 def _sv(witness, n1, n2, raise_pair, lower_pair):
+    """Shchukin-Vogel inseparability value
+    ``<n1 - 1/2><n2 - 1/2> - <a1^dag a2^dag><a1 a2>``; entangled when negative."""
     t_diag = (n1.real - 0.5) * (n2.real - 0.5)
     t_cross = _cmul(raise_pair, lower_pair).real
     return t_diag - t_cross, abs(t_diag) + abs(t_cross), False
 
 
 def _epr(witness, n1, n2, a1, a2, a1sq, a2sq, cross_mixed, cross_lower):
+    """Product-of-variances (EPR, Mancini) entanglement value I1 * I2 - 1.
+
+    Two sign conventions ship.  ``form="literal"`` uses asymmetric number
+    terms and adds the squared mean terms with positive sign; on the vacuum
+    it yields exactly -1, an unphysical entanglement flag that is reported
+    as-is.  ``form="variance"`` subtracts the squared means and symmetrizes
+    the number terms, making I1 and I2 genuine variances of ``x1 + x2`` and
+    ``p1 - p2`` (vacuum sits at 0, the physically sensible boundary).
+    """
     n1, n2 = n1.real, n2.real
     t1 = (a1sq + a2sq + 2.0 * cross_lower + 2.0 * cross_mixed).real
     t2 = (-a1sq - a2sq + 2.0 * cross_lower - 2.0 * cross_mixed).real
@@ -271,6 +303,18 @@ def _epr(witness, n1, n2, a1, a2, a1sq, a2sq, cross_mixed, cross_lower):
 
 
 def _su11(witness, n1, n2, n1n2, twist, swap):
+    """Entanglement value from the uncertainty product of two-mode
+    angular-momentum-like operators:
+
+    [2<a1 a1^dag a2 a2^dag> - <a1 a1^dag> - <a2 a2^dag>
+       + 2 Re<a1^2 a2^dag^2> - 4 Re^2<a1^dag a2>]
+    x [same with - 2 Re<a1^2 a2^dag^2> and - 4 Im^2<a1^dag a2>]
+    - |<a1 a1^dag - a2 a2^dag>|^2
+
+    Entangled when negative.  All moments are number conserving, so both
+    engines agree; the q = 0 binomial family sits identically at zero, which
+    is why the roundoff-aware strict-zero guard matters here.
+    """
     n1, n2 = n1.real, n2.real
     anti_pair = n1n2.real + n1 + n2 + 1.0
     base = 2.0 * anti_pair - (n1 + 1.0) - (n2 + 1.0)
@@ -286,6 +330,19 @@ def _su11(witness, n1, n2, n1n2, twist, swap):
 
 
 def _cs(witness, auto1, auto2, cross):
+    """Two-mode intensity-correlation value
+    ``sqrt(<a1^dag^2 a1^2><a2^dag^2 a2^2>) - |<a1^dag a1 a2^dag a2>|``.
+
+    This is the intensity nonclassicality inequality in its standard
+    literature form: negative means the classical intensity Cauchy-Schwarz
+    bound is violated.  It is not an entanglement criterion.  All moments are
+    number conserving, so for a fixed-total state ``sum_n c_n |n>|M-n>`` the
+    value depends only on the photon-number distribution ``|c_n|^2``; a
+    separable mixture with the same distribution gives the same value, and
+    product Fock states such as ``|2>|2>`` violate it.  The ``table1`` row is
+    tagged ``literature-standard`` because the paper's own formula is not
+    given.
+    """
     auto1, auto2 = auto1.real, auto2.real
     # max(auto, 0.0), which keeps NaN and -0.0
     geo = np.sqrt(np.where(auto1 < 0.0, 0.0, auto1) * np.where(auto2 < 0.0, 0.0, auto2))
@@ -368,94 +425,3 @@ def reduce_columns(witness: Witness, columns, engine: Engine) -> list:
             else WitnessResult(witness, value, nonclassical, engine, "ok", scale)
             for value, scale, nonclassical, degenerate in rows]
 
-
-def hoa(state, l: int, m: int, engine: Engine | None = None) -> WitnessResult:
-    """Higher-order two-mode antibunching of order (l, m).
-
-    Value = N/D - 1 with
-    N = <a1^dag^(l+1) a1^(l+1) a2^dag^(m-1) a2^(m-1)> + (modes swapped),
-    D = <a1^dag^l a1^l a2^dag^m a2^m> + (modes swapped).
-    Antibunched when negative.  All moments are number conserving, so both
-    engines agree.
-    """
-    return evaluate(state, Witness("hoa", l=l, m=m), engine)
-
-
-def quad_squeeze(state, engine: Engine | None = None) -> tuple[WitnessResult, WitnessResult]:
-    """Two-mode quadrature squeezing factors (S_x, S_y).
-
-    S_x = Re<a1^2 + a2^2 + 2(a1 a2^dag + a1 a2)> + <a1 a1^dag + a2 a2^dag>
-          - 2 Re^2<a1 + a2> - 2
-    S_y = -Re<a1^2 + a2^2 - 2(a1 a2^dag - a1 a2)> + <a1 a1^dag + a2 a2^dag>
-          - 2 Im^2<a1 + a2> - 2
-
-    A negative factor means the corresponding quadrature variance is below
-    the vacuum level.
-    """
-    table = {}
-    return (evaluate(state, Witness("quadx"), engine, table),
-            evaluate(state, Witness("quady"), engine, table))
-
-
-def sum_squeeze(state, theta: float, engine: Engine | None = None) -> WitnessResult:
-    """Sum-squeezing degree for the two-mode operator
-    ``(e^(i theta) a1^dag a2^dag + e^(-i theta) a1 a2) / 2``.
-
-    Value = [2<a1 a1^dag a2 a2^dag> + 2 Re(e^(-2i theta) <a1^2 a2^2>)
-             - 4 Re^2(e^(-i theta) <a1 a2>)] / <a1 a1^dag + a2 a2^dag - 1> - 2.
-    Periodic in theta with period pi.
-    """
-    return evaluate(state, Witness("sum", theta=theta), engine)
-
-
-def sv(state, engine: Engine | None = None) -> WitnessResult:
-    """Moment-based inseparability value
-    ``<n1 - 1/2><n2 - 1/2> - <a1^dag a2^dag><a1 a2>``; entangled when negative.
-    """
-    return evaluate(state, Witness("sv"), engine)
-
-
-def epr(state, form: str = "literal", engine: Engine | None = None) -> WitnessResult:
-    """Product-of-variances entanglement value I1 * I2 - 1.
-
-    Two sign conventions ship.  ``form="literal"`` uses asymmetric number
-    terms and adds the squared mean terms with positive sign; on the vacuum
-    it yields exactly -1, an unphysical entanglement flag that is reported
-    as-is.  ``form="variance"`` subtracts the squared means and symmetrizes
-    the number terms, making I1 and I2 genuine variances of ``x1 + x2`` and
-    ``p1 - p2`` (vacuum sits at 0, the physically sensible boundary).
-    """
-    return evaluate(state, Witness("epr", form=form), engine)
-
-
-def su11(state, engine: Engine | None = None) -> WitnessResult:
-    """Entanglement value from the uncertainty product of two-mode
-    angular-momentum-like operators:
-
-    [2<a1 a1^dag a2 a2^dag> - <a1 a1^dag> - <a2 a2^dag>
-       + 2 Re<a1^2 a2^dag^2> - 4 Re^2<a1^dag a2>]
-    x [same with - 2 Re<a1^2 a2^dag^2> and - 4 Im^2<a1^dag a2>]
-    - |<a1 a1^dag - a2 a2^dag>|^2
-
-    Entangled when negative.  All moments are number conserving, so both
-    engines agree; the q = 0 binomial family sits identically at zero, which
-    is why the roundoff-aware strict-zero guard matters here.
-    """
-    return evaluate(state, Witness("su11"), engine)
-
-
-def cauchy_schwarz(state, engine: Engine | None = None) -> WitnessResult:
-    """Two-mode intensity-correlation value
-    ``sqrt(<a1^dag^2 a1^2><a2^dag^2 a2^2>) - |<a1^dag a1 a2^dag a2>|``.
-
-    This is the intensity nonclassicality inequality in its standard
-    literature form: negative means the classical intensity Cauchy-Schwarz
-    bound is violated.  It is not an entanglement criterion.  All moments are
-    number conserving, so for a fixed-total state ``sum_n c_n |n>|M-n>`` the
-    value depends only on the photon-number distribution ``|c_n|^2``; a
-    separable mixture with the same distribution gives the same value, and
-    product Fock states such as ``|2>|2>`` violate it.  The ``table1`` row is
-    tagged ``literature-standard`` because the paper's own formula is not
-    given.
-    """
-    return evaluate(state, Witness("cs"), engine)

@@ -29,18 +29,12 @@ from twomode import (
     NGBSParams,
     Witness,
     binomial_state,
-    cauchy_schwarz,
     coherent_product,
-    epr,
+    evaluate,
     fock_pair,
-    hoa,
-    mode1_moment,
-    mode2_moment,
+    literal_moment,
     moment_oracle,
     ngbs,
-    quad_squeeze,
-    su11,
-    sum_squeeze,
 )
 from twomode.sweep import (
     STANDARD_M,
@@ -76,10 +70,8 @@ def test_c1_diagonal_engine_agreement():
                     continue
                 state = ngbs(params)
                 for order in range(min(10, total) + 1):
-                    for literal, spec in (
-                        (mode1_moment(state, order, order), MomentSpec(order, order, 0, 0)),
-                        (mode2_moment(state, order, order), MomentSpec(0, 0, order, order)),
-                    ):
+                    for spec in (MomentSpec(order, order, 0, 0), MomentSpec(0, 0, order, order)):
+                        literal = literal_moment(state, spec)
                         oracle = moment_oracle(state, spec)
                         rel = abs(literal - oracle) / max(1.0, abs(oracle))
                         worst = max(worst, rel)
@@ -149,7 +141,7 @@ def test_c5_antibunching_sign_reproduction():
         params = NGBSParams(10, float(p), -0.01)
         if not params.is_valid():
             continue
-        res = hoa(ngbs(params), 9, 1, Engine.ORACLE)
+        res = evaluate(ngbs(params), Witness("hoa", l=9, m=1), Engine.ORACLE)
         if res.status == "ok":
             negative.append((res.value, float(p)))
     min_value, argmin_p = min(negative)
@@ -160,7 +152,7 @@ def test_c5_antibunching_sign_reproduction():
         params = NGBSParams(10, float(p), 0.01)
         if not params.is_valid():
             continue
-        res = hoa(ngbs(params), 9, 1, Engine.ORACLE)
+        res = evaluate(ngbs(params), Witness("hoa", l=9, m=1), Engine.ORACLE)
         if res.status == "ok" and res.value < -1e-12:
             positive_ok = False
     ok = window_ok and positive_ok
@@ -181,8 +173,8 @@ def test_c6_sum_squeeze_theta_degeneracy():
                     continue
                 state = ngbs(params)
                 for engine in (Engine.LITERAL, Engine.ORACLE):
-                    a = sum_squeeze(state, 0.0, engine).value
-                    b = sum_squeeze(state, math.pi, engine).value
+                    a = evaluate(state, Witness("sum", theta=0.0), engine).value
+                    b = evaluate(state, Witness("sum", theta=math.pi), engine).value
                     worst = max(worst, abs(a - b))
     assert _verdict("C6", f"SSD(0) = SSD(pi) (worst delta {worst:.1e})", worst <= 1e-12)
 
@@ -239,7 +231,7 @@ def test_c7_cauchy_schwarz_row(standard_table):
                 closed_min = min(closed_min, _cs_closed_form(state.amplitudes))
                 valid += 1
                 for engine in (Engine.LITERAL, Engine.ORACLE):
-                    res = cauchy_schwarz(state, engine)
+                    res = evaluate(state, Witness("cs"), engine)
                     if q < 0:
                         holds = res.nonclassical
                     elif q == 0:
@@ -266,21 +258,21 @@ def test_c7_cauchy_schwarz_row(standard_table):
 
 def test_c8_coherent_boundary():
     state = coherent_product(0.5, 0.5, 30)
-    d11 = hoa(state, 1, 1).value
-    cs = cauchy_schwarz(state).value
+    d11 = evaluate(state, Witness("hoa", l=1, m=1)).value
+    cs = evaluate(state, Witness("cs")).value
     ok = abs(d11) <= 1e-8 and abs(cs) <= 1e-8
     assert _verdict("C8", f"coherent boundary (D11 {d11:.1e}, CS {cs:.1e})", ok)
 
 
 def test_c9_vacuum_fixed_points():
-    res_x, res_y = quad_squeeze(VACUUM)
+    res_x, res_y = (evaluate(VACUUM, Witness(kind)) for kind in ("quadx", "quady"))
     checks = [
         abs(res_x.value) <= 1e-12,
         abs(res_y.value) <= 1e-12,
-        abs(sum_squeeze(VACUUM, 0.0).value) <= 1e-12,
-        abs(su11(VACUUM).value) <= 1e-12,
-        abs(epr(VACUUM, "literal").value + 1.0) <= 1e-12,
-        abs(epr(VACUUM, "variance").value) <= 1e-12,
+        abs(evaluate(VACUUM, Witness("sum", theta=0.0)).value) <= 1e-12,
+        abs(evaluate(VACUUM, Witness("su11")).value) <= 1e-12,
+        abs(evaluate(VACUUM, Witness("epr", form="literal")).value + 1.0) <= 1e-12,
+        abs(evaluate(VACUUM, Witness("epr", form="variance")).value) <= 1e-12,
     ]
     assert _verdict("C9", "vacuum fixed points", all(checks))
 

@@ -13,11 +13,8 @@ from twomode import (
     NGBSParams,
     binomial_state,
     compare_engines,
-    cross_moment,
     expectation,
     literal_moment,
-    mode1_moment,
-    mode2_moment,
     moment_oracle,
     ngbs,
 )
@@ -39,28 +36,28 @@ def one_photon_mode2():
 # --- frozen single-point values ---------------------------------------------
 
 def test_mode1_number_of_single_photon():
-    assert mode1_moment(one_photon_mode1(), 1, 1) == pytest.approx(1.0)
+    assert literal_moment(one_photon_mode1(), MomentSpec(1, 1, 0, 0)) == pytest.approx(1.0)
 
 
 def test_mode2_number_of_single_photon():
-    assert mode2_moment(one_photon_mode2(), 1, 1) == pytest.approx(1.0)
+    assert literal_moment(one_photon_mode2(), MomentSpec(0, 0, 1, 1)) == pytest.approx(1.0)
 
 
 def test_mode1_mean_photon_number_binomial():
     state = binomial_state(2, 0.5)
-    assert mode1_moment(state, 1, 1).real == pytest.approx(1.0, abs=1e-12)
+    assert literal_moment(state, MomentSpec(1, 1, 0, 0)).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mode2_mean_photon_number_binomial():
     state = binomial_state(2, 0.5)
-    assert mode2_moment(state, 1, 1).real == pytest.approx(1.0, abs=1e-12)
+    assert literal_moment(state, MomentSpec(0, 0, 1, 1)).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mode1_offdiagonal_literal_value():
     # series value for <a1> on binomial(2, 0.5); the oracle gives 0 for the
     # same spec, which is the documented engine disagreement
     state = binomial_state(2, 0.5)
-    value = mode1_moment(state, 0, 1).real
+    value = literal_moment(state, MomentSpec(0, 1, 0, 0)).real
     expected = 0.5 / np.sqrt(2) + 0.5 / np.sqrt(2) * np.sqrt(2)
     assert value == pytest.approx(expected, abs=1e-12)
     assert value == pytest.approx(0.8535533905932737, abs=1e-12)
@@ -69,24 +66,19 @@ def test_mode1_offdiagonal_literal_value():
 
 def test_mode2_second_factorial_moment():
     state = binomial_state(2, 0.5)
-    assert mode2_moment(state, 2, 2).real == pytest.approx(0.5, abs=1e-12)
-
-
-def test_cross_moment_number_changing_is_zero():
-    state = binomial_state(3, 0.4)
-    assert cross_moment(state, MomentSpec(0, 1, 0, 1)) == 0.0
+    assert literal_moment(state, MomentSpec(0, 0, 2, 2)).real == pytest.approx(0.5, abs=1e-12)
 
 
 def test_cross_moment_orthogonal_example():
     state = FixedTotalState(2, np.array([0.0, 1.0, 0.0]))
-    val = cross_moment(state, MomentSpec(0, 1, 1, 0))
+    val = literal_moment(state, MomentSpec(0, 1, 1, 0))
     assert abs(val) <= 1e-12
     assert abs(moment_oracle(state, MomentSpec(0, 1, 1, 0)) - val) <= 1e-12
 
 
 def test_cross_moment_hand_value():
     state = binomial_state(1, 0.5)
-    val = cross_moment(state, MomentSpec(0, 1, 1, 0))
+    val = literal_moment(state, MomentSpec(0, 1, 1, 0))
     assert val.real == pytest.approx(0.5, abs=1e-12)
 
 
@@ -97,10 +89,10 @@ def test_diagonal_agreement_sample_grid():
         for p in (0.2, 0.5, 0.8):
             state = ngbs(NGBSParams(total, p, 0.005))
             for order in range(0, min(10, total) + 1):
-                lit = mode1_moment(state, order, order)
+                lit = literal_moment(state, MomentSpec(order, order, 0, 0))
                 ora = moment_oracle(state, MomentSpec(order, order, 0, 0))
                 assert abs(lit - ora) <= 1e-9 * max(1.0, abs(ora))
-                lit2 = mode2_moment(state, order, order)
+                lit2 = literal_moment(state, MomentSpec(0, 0, order, order))
                 ora2 = moment_oracle(state, MomentSpec(0, 0, order, order))
                 assert abs(lit2 - ora2) <= 1e-9 * max(1.0, abs(ora2))
 
@@ -120,7 +112,7 @@ def test_cross_moment_matches_oracle_on_conserving_specs(total, k, r, s, seed):
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(total + 1) + 1j * rng.standard_normal(total + 1)
     state = FixedTotalState(total, vec / np.linalg.norm(vec))
-    closed = cross_moment(state, spec)
+    closed = literal_moment(state, spec)
     oracle = moment_oracle(state, spec)
     assert abs(closed - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
@@ -136,7 +128,7 @@ def test_cross_moment_matches_oracle_on_ngbs(rng):
         if not 0 <= j <= 10:
             continue
         spec = MomentSpec(j, k, r, s)
-        closed = cross_moment(state, spec)
+        closed = literal_moment(state, spec)
         oracle = moment_oracle(state, spec)
         assert abs(closed - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
@@ -195,6 +187,17 @@ def _cross_loop(state, spec):
     return total
 
 
+def _route_loop(state, spec):
+    """The scalar loop of the series ``literal_moment`` takes for ``spec``:
+    mode 1 when mode 2 is untouched (the identity included), mode 2 when
+    mode 1 is, the cross series for a mixed number-conserving spec."""
+    if spec.r == 0 and spec.s == 0:
+        return _mode1_loop(state, spec.j, spec.k)
+    if spec.j == 0 and spec.k == 0:
+        return _mode2_loop(state, spec.r, spec.s)
+    return _cross_loop(state, spec)
+
+
 def test_literal_series_equal_scalar_loops_on_ngbs():
     # exact equality with the term-by-term loops: the figures' discrepancy
     # report holds rounding residue that must come out the same bit for bit;
@@ -218,32 +221,37 @@ def test_literal_series_equal_scalar_loops_on_ngbs():
                 state = ngbs(params)
                 for daggers in orders:
                     for lowers in orders:
-                        assert exact(mode1_moment(state, daggers, lowers)) == exact(
-                            _mode1_loop(state, daggers, lowers))
-                        assert exact(mode2_moment(state, daggers, lowers)) == exact(
-                            _mode2_loop(state, daggers, lowers))
+                        for spec in (MomentSpec(daggers, lowers, 0, 0),
+                                     MomentSpec(0, 0, daggers, lowers)):
+                            assert exact(literal_moment(state, spec)) == exact(
+                                _route_loop(state, spec))
                 for spec in cross_specs:
-                    assert exact(cross_moment(state, spec)) == exact(_cross_loop(state, spec))
+                    assert exact(literal_moment(state, spec)) == exact(_route_loop(state, spec))
 
 
 def test_literal_hermiticity_on_complex_states(rng):
     for _ in range(30):
         state = random_fixed_total(rng, int(rng.integers(1, 12)))
         k, l = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-        assert abs(mode1_moment(state, k, l) - mode1_moment(state, l, k).conjugate()) <= 1e-12
-        assert abs(mode2_moment(state, k, l) - mode2_moment(state, l, k).conjugate()) <= 1e-12
+        for spec, flipped in ((MomentSpec(k, l, 0, 0), MomentSpec(l, k, 0, 0)),
+                              (MomentSpec(0, 0, k, l), MomentSpec(0, 0, l, k))):
+            assert abs(literal_moment(state, spec)
+                       - literal_moment(state, flipped).conjugate()) <= 1e-12
 
 
 def test_literal_moment_dispatch():
     state = binomial_state(4, 0.3)
-    # pure single-mode goes through the series
-    assert literal_moment(state, MomentSpec(0, 1, 0, 0)) == mode1_moment(state, 0, 1)
+    # pure single-mode goes through the series of its mode, the identity
+    # through mode 1's
+    assert literal_moment(state, MomentSpec(0, 1, 0, 0)) == _mode1_loop(state, 0, 1)
+    assert literal_moment(state, MomentSpec(0, 0, 2, 1)) == _mode2_loop(state, 2, 1)
+    assert literal_moment(state, MomentSpec(0, 0, 0, 0)) == _mode1_loop(state, 0, 0)
     # mixed conserving goes through the joint closed form
     spec = MomentSpec(0, 1, 1, 0)
-    assert literal_moment(state, spec) == cross_moment(state, spec)
+    assert literal_moment(state, spec) == _cross_loop(state, spec)
     # mixed number-changing factorizes
     spec = MomentSpec(0, 1, 0, 1)
-    prod = mode1_moment(state, 0, 1) * mode2_moment(state, 0, 1)
+    prod = _mode1_loop(state, 0, 1) * _mode2_loop(state, 0, 1)
     assert literal_moment(state, spec) == prod
 
 
@@ -316,12 +324,10 @@ def test_batch_rows_equal_single_state_calls_on_complex_states(rng, total):
 def test_batch_empty_plans_give_positive_zero_rows():
     states = [binomial_state(2, 0.5), binomial_state(2, 0.25)]
     batch = MomentBatch.stack(states)
-    for call, spec in ((literal_moment, MomentSpec(3, 3, 0, 0)),
-                       (literal_moment, MomentSpec(0, 0, 0, 3)),
-                       (cross_moment, MomentSpec(0, 1, 0, 1))):
+    for spec in (MomentSpec(3, 3, 0, 0), MomentSpec(0, 0, 0, 3)):
         # each single call gives the Python 0j, +0.0 in both parts
-        assert [repr(call(state, spec)) for state in states] == ["0j"] * 2
-        assert_column_rows(call(batch, spec), [0j, 0j], context=spec)
+        assert [repr(literal_moment(state, spec)) for state in states] == ["0j"] * 2
+        assert_column_rows(literal_moment(batch, spec), [0j, 0j], context=spec)
 
 
 def test_batch_stack_rejects_mixed_totals():
@@ -377,8 +383,8 @@ def test_expectation_engine_switch():
 
 def test_empty_sum_returns_zero_with_flag():
     state = binomial_state(2, 0.5)
-    assert mode1_moment(state, 3, 3) == 0.0
-    assert mode2_moment(state, 3, 3) == 0.0
+    assert literal_moment(state, MomentSpec(3, 3, 0, 0)) == 0.0
+    assert literal_moment(state, MomentSpec(0, 0, 3, 3)) == 0.0
     specs = [MomentSpec(3, 3, 0, 0), MomentSpec(0, 0, 3, 3),
              MomentSpec(2, 2, 0, 0), MomentSpec(0, 0, 0, 1)]
     degenerate = [report.degenerate for report in compare_engines(state, specs)]

@@ -983,6 +983,20 @@ def test_cli_sweep_rejects_field_flags_beside_a_config_file(tmp_path, capsys, fl
     assert not out.exists()
 
 
+def test_cli_sweep_rejects_a_repeated_config_key(tmp_path, capsys):
+    # keys fold to lower case, so the second line would otherwise win: M = 6
+    cfg = tmp_path / "s.cfg"
+    out = tmp_path / "from_cfg"
+    cfg.write_text(
+        f"state = ngbs\nM = 4\nq = 0\np = 0.2:0.8:3\nwitnesses = sv\nm = 6\nout = {out}\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated field: 'm'\n"
+    assert not out.exists()
+
+
 def test_cli_exit_codes(tmp_path):
     # config errors -> 1 (including argparse usage errors)
     assert main(["sweep", "--state", "ngbs", "--M", "6", "--q", "0",

@@ -13,18 +13,11 @@ from twomode import (
     NGBSParams,
     Witness,
     binomial_state,
-    cauchy_schwarz,
     coherent_product,
-    epr,
     evaluate,
     expectation,
     fock_pair,
-    hoa,
     ngbs,
-    quad_squeeze,
-    su11,
-    sum_squeeze,
-    sv,
 )
 from twomode.sweep import (
     HOA_ORDER_SET, STANDARD_P_GRID, STANDARD_Q, _grid_slice, _LiteralSlice, _SliceRow,
@@ -39,72 +32,72 @@ VACUUM = fock_pair(0, 0)
 # --- fixed points and hand values ---------------------------------------------
 
 def test_hoa_single_photon_pair_is_maximally_antibunched():
-    res = hoa(fock_pair(1, 1), 1, 1)
+    res = evaluate(fock_pair(1, 1), Witness("hoa", l=1, m=1))
     assert res.value == pytest.approx(-1.0, abs=1e-12)
     assert res.nonclassical
     assert res.status == "ok"
 
 
 def test_hoa_vacuum_denominator_degenerates():
-    res = hoa(VACUUM, 1, 1)
+    res = evaluate(VACUUM, Witness("hoa", l=1, m=1))
     assert res.status == "degenerate"
     assert math.isnan(res.value)
     assert not res.nonclassical
 
 
 def test_hoa_coherent_boundary():
-    res = hoa(coherent_product(0.5, 0.5, 30), 1, 1)
+    res = evaluate(coherent_product(0.5, 0.5, 30), Witness("hoa", l=1, m=1))
     assert abs(res.value) <= 1e-9
     assert not res.nonclassical
 
 
 def test_vacuum_quadrature_fixed_point():
-    res_x, res_y = quad_squeeze(VACUUM)
+    res_x, res_y = (evaluate(VACUUM, Witness(kind)) for kind in ("quadx", "quady"))
     assert abs(res_x.value) <= 1e-12 and abs(res_y.value) <= 1e-12
     assert not res_x.nonclassical and not res_y.nonclassical
 
 
 def test_vacuum_sum_squeeze_fixed_point():
-    assert abs(sum_squeeze(VACUUM, 0.0).value) <= 1e-12
+    assert abs(evaluate(VACUUM, Witness("sum", theta=0.0)).value) <= 1e-12
 
 
 def test_vacuum_su11_fixed_point():
-    res = su11(VACUUM)
+    res = evaluate(VACUUM, Witness("su11"))
     assert abs(res.value) <= 1e-12
     assert not res.nonclassical
 
 
 def test_su11_single_photon_hand_value():
-    assert abs(su11(fock_pair(1, 0)).value) <= 1e-12
+    assert abs(evaluate(fock_pair(1, 0), Witness("su11")).value) <= 1e-12
 
 
 def test_epr_vacuum_both_forms():
-    lit = epr(VACUUM, "literal")
+    lit = evaluate(VACUUM, Witness("epr", form="literal"))
     assert lit.value == pytest.approx(-1.0, abs=1e-12)
     assert lit.nonclassical  # the documented unphysical flag of the literal form
-    var = epr(VACUUM, "variance")
+    var = evaluate(VACUUM, Witness("epr", form="variance"))
     assert abs(var.value) <= 1e-12
     assert not var.nonclassical
 
 
 def test_epr_rejects_unknown_form():
     with pytest.raises(ValueError):
-        epr(VACUUM, "other")
+        evaluate(VACUUM, Witness("epr", form="other"))
 
 
 def test_sv_hand_values():
-    assert sv(fock_pair(1, 1)).value == pytest.approx(0.25, abs=1e-12)
-    assert not sv(fock_pair(1, 1)).nonclassical
-    res = sv(fock_pair(0, 1))
+    assert evaluate(fock_pair(1, 1), Witness("sv")).value == pytest.approx(0.25, abs=1e-12)
+    assert not evaluate(fock_pair(1, 1), Witness("sv")).nonclassical
+    res = evaluate(fock_pair(0, 1), Witness("sv"))
     assert res.value == pytest.approx(-0.25, abs=1e-12)
     assert res.nonclassical
 
 
 def test_cauchy_schwarz_hand_values():
-    res = cauchy_schwarz(fock_pair(2, 2))
+    res = evaluate(fock_pair(2, 2), Witness("cs"))
     assert res.value == pytest.approx(-2.0, abs=1e-12)
     assert res.nonclassical
-    coh = cauchy_schwarz(coherent_product(1.0, 1.0, 40))
+    coh = evaluate(coherent_product(1.0, 1.0, 40), Witness("cs"))
     assert abs(coh.value) <= 1e-8
     assert not coh.nonclassical
 
@@ -123,8 +116,8 @@ def test_hoa_engine_independence(total, p, q, l, m):
     params = NGBSParams(total, p, q)
     assume(params.is_valid())
     state = ngbs(params)
-    lit = hoa(state, l, m, Engine.LITERAL)
-    ora = hoa(state, l, m, Engine.ORACLE)
+    lit = evaluate(state, Witness("hoa", l=l, m=m), Engine.LITERAL)
+    ora = evaluate(state, Witness("hoa", l=l, m=m), Engine.ORACLE)
     assert lit.status == ora.status
     if lit.status == "ok":
         assert abs(lit.value - ora.value) <= 1e-9 * max(1.0, abs(ora.value))
@@ -137,7 +130,7 @@ def test_quadrature_oracle_reduction():
 
     for p in (0.2, 0.5, 0.8):
         state = ngbs(NGBSParams(10, p, -0.01))
-        res_x, _ = quad_squeeze(state, Engine.ORACLE)
+        res_x = evaluate(state, Witness("quadx"), Engine.ORACLE)
         cross = moment_oracle(state, MomentSpec(0, 1, 1, 0)).real
         assert res_x.value == pytest.approx(2.0 * cross + 10.0, abs=1e-9)
         assert res_x.value >= 0.0
@@ -148,7 +141,7 @@ def test_sum_squeeze_oracle_reduction():
     from twomode import MomentSpec, moment_oracle
 
     state = ngbs(NGBSParams(10, 0.4, 0.005))
-    res = sum_squeeze(state, 0.0, Engine.ORACLE)
+    res = evaluate(state, Witness("sum", theta=0.0), Engine.ORACLE)
     n1n2 = moment_oracle(state, MomentSpec(1, 1, 1, 1)).real
     assert res.value == pytest.approx(2.0 * n1n2 / 11.0, abs=1e-9)
     assert res.value >= 0.0
@@ -159,7 +152,7 @@ def test_sv_oracle_factorization(rng):
 
     for _ in range(25):
         state = random_fixed_total(rng, int(rng.integers(0, 15)))
-        res = sv(state, Engine.ORACLE)
+        res = evaluate(state, Witness("sv"), Engine.ORACLE)
         n1 = np.sum(np.abs(state.amplitudes) ** 2 * np.arange(state.total + 1))
         n2 = state.total - n1
         assert res.value == pytest.approx((n1 - 0.5) * (n2 - 0.5), abs=1e-12)
@@ -174,28 +167,28 @@ def test_sv_oracle_factorization(rng):
 def test_sum_squeeze_theta_periodicity(total, p, theta, engine_name):
     state = ngbs(NGBSParams(total, p, 0.005))
     engine = Engine.parse(engine_name)
-    a = sum_squeeze(state, theta, engine).value
-    b = sum_squeeze(state, theta + math.pi, engine).value
+    a = evaluate(state, Witness("sum", theta=theta), engine).value
+    b = evaluate(state, Witness("sum", theta=theta + math.pi), engine).value
     assert abs(a - b) <= 1e-12
 
 
 def test_sum_squeeze_theta_zero_equals_pi_on_coherent():
     state = coherent_product(0.8, 0.3 + 0.2j, 30)
-    a = sum_squeeze(state, 0.0).value
-    b = sum_squeeze(state, math.pi).value
+    a = evaluate(state, Witness("sum", theta=0.0)).value
+    b = evaluate(state, Witness("sum", theta=math.pi)).value
     assert abs(a - b) <= 1e-12
 
 
 def test_literal_engine_rejected_for_grid_states():
     with pytest.raises(TypeError):
-        sv(fock_pair(1, 1), Engine.LITERAL)
+        evaluate(fock_pair(1, 1), Witness("sv"), Engine.LITERAL)
 
 
 def test_default_engine_resolution():
     # fixed-total states default to the literal engine, grids to the oracle
     state = binomial_state(4, 0.5)
-    assert sv(state).engine is Engine.LITERAL
-    assert sv(fock_pair(1, 1)).engine is Engine.ORACLE
+    assert evaluate(state, Witness("sv")).engine is Engine.LITERAL
+    assert evaluate(fock_pair(1, 1), Witness("sv")).engine is Engine.ORACLE
 
 
 # --- reference sign patterns ----------------------------------------------------
@@ -203,20 +196,22 @@ def test_default_engine_resolution():
 def test_hoa_negative_q_antibunches_near_half():
     values = {}
     for p in np.linspace(0.35, 0.65, 13):
-        res = hoa(ngbs(NGBSParams(10, float(p), -0.01)), 9, 1, Engine.ORACLE)
+        state = ngbs(NGBSParams(10, float(p), -0.01))
+        res = evaluate(state, Witness("hoa", l=9, m=1), Engine.ORACLE)
         values[float(p)] = res.value
     assert min(values.values()) < 0
 
 
 def test_hoa_positive_q_shows_no_antibunching():
     for p in np.linspace(0.05, 0.95, 19):
-        res = hoa(ngbs(NGBSParams(10, float(p), 0.01)), 9, 1, Engine.ORACLE)
+        state = ngbs(NGBSParams(10, float(p), 0.01))
+        res = evaluate(state, Witness("hoa", l=9, m=1), Engine.ORACLE)
         assert res.value >= -1e-12
 
 
 def test_quadrature_literal_goes_negative_somewhere():
     values = [
-        quad_squeeze(ngbs(NGBSParams(10, float(p), -0.01)), Engine.LITERAL)[0].value
+        evaluate(ngbs(NGBSParams(10, float(p), -0.01)), Witness("quadx"), Engine.LITERAL).value
         for p in np.linspace(0.3, 0.7, 21)
     ]
     assert min(values) < 0
@@ -226,10 +221,10 @@ def test_sum_squeeze_literal_theta_ordering():
     # theta = 0 and pi coincide and sit at or below pi/6 and pi/3
     for p in (0.4, 0.5, 0.6):
         state = ngbs(NGBSParams(10, p, -0.01))
-        s0 = sum_squeeze(state, 0.0, Engine.LITERAL).value
-        s6 = sum_squeeze(state, math.pi / 6, Engine.LITERAL).value
-        s3 = sum_squeeze(state, math.pi / 3, Engine.LITERAL).value
-        spi = sum_squeeze(state, math.pi, Engine.LITERAL).value
+        s0 = evaluate(state, Witness("sum", theta=0.0), Engine.LITERAL).value
+        s6 = evaluate(state, Witness("sum", theta=math.pi / 6), Engine.LITERAL).value
+        s3 = evaluate(state, Witness("sum", theta=math.pi / 3), Engine.LITERAL).value
+        spi = evaluate(state, Witness("sum", theta=math.pi), Engine.LITERAL).value
         assert abs(s0 - spi) <= 1e-12
         assert s0 <= s6 + 1e-12
         assert s0 <= s3 + 1e-12
@@ -237,7 +232,7 @@ def test_sum_squeeze_literal_theta_ordering():
 
 def test_sv_literal_negative_region_exists():
     values = [
-        sv(ngbs(NGBSParams(10, float(p), 0.01)), Engine.LITERAL).value
+        evaluate(ngbs(NGBSParams(10, float(p), 0.01)), Witness("sv"), Engine.LITERAL).value
         for p in np.linspace(0.01, 0.99, 50)
     ]
     assert min(values) < 0
@@ -247,7 +242,7 @@ def test_strict_zero_guard_scales_with_magnitude():
     # binomial states satisfy the su11 inequality with exact equality; large
     # M amplifies rounding noise well past 1e-12, and the flag must not flip
     for p in np.linspace(0.05, 0.95, 19):
-        res = su11(binomial_state(20, float(p)))
+        res = evaluate(binomial_state(20, float(p)), Witness("su11"))
         assert abs(res.value) <= 1e-9
         assert not res.nonclassical
 
@@ -308,14 +303,13 @@ def test_witness_requires_valid_orders():
 
 
 def test_evaluate_dispatch_matches_direct_calls():
+    # the dispatch through the kind table against each kind's formula written
+    # out directly (_reference), under the default engine of a fixed-total state
     state = ngbs(NGBSParams(6, 0.5, 0.0))
-    assert evaluate(state, Witness("sv")).value == sv(state).value
-    assert evaluate(state, Witness("hoa", l=2, m=1)).value == hoa(state, 2, 1).value
-    assert evaluate(state, Witness("sum", theta=0.2)).value == sum_squeeze(state, 0.2).value
-    assert evaluate(state, Witness("epr", form="variance")).value == epr(state, "variance").value
-    assert evaluate(state, Witness("quady")).value == quad_squeeze(state)[1].value
-    assert evaluate(state, Witness("su11")).value == su11(state).value
-    assert evaluate(state, Witness("cs")).value == cauchy_schwarz(state).value
+    for witness in (Witness("sv"), Witness("hoa", l=2, m=1), Witness("sum", theta=0.2),
+                    Witness("epr", form="variance"), Witness("quady"), Witness("su11"),
+                    Witness("cs")):
+        assert evaluate(state, witness).value == _reference(state, witness, Engine.LITERAL)[0]
 
 
 # --- moment tables ----------------------------------------------------------------
@@ -350,19 +344,6 @@ def _table_states():
         cases.append(pytest.param(_fixed_total_fock(n1, n2), both, id=f"fock-{n1}-{n2}"))
     cases.append(pytest.param(coherent_product(0.8, 0.5j, 14), (Engine.ORACLE,), id="coherent"))
     return cases
-
-
-def _public(state, witness, engine):
-    kind = witness.kind
-    if kind == "hoa":
-        return hoa(state, witness.l, witness.m, engine)
-    if kind in ("quadx", "quady"):
-        return quad_squeeze(state, engine)[kind == "quady"]
-    if kind == "sum":
-        return sum_squeeze(state, witness.theta, engine)
-    if kind == "epr":
-        return epr(state, witness.form, engine)
-    return {"sv": sv, "su11": su11, "cs": cauchy_schwarz}[kind](state, engine)
 
 
 def _reference(state, witness, engine):
@@ -458,7 +439,7 @@ def test_shared_table_equals_fresh_evaluation_exactly(state, engines):
         table = {}
         for witness in VARIANTS:
             shared = evaluate(state, witness, engine, table)
-            _assert_same(shared, _public(state, witness, engine))
+            _assert_same(shared, evaluate(state, witness, engine))
             reference = _reference(state, witness, engine)
             if reference is None:
                 assert shared.status == "degenerate"
