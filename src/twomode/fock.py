@@ -28,7 +28,8 @@ shape ``(P,)``: row i holds the float and sign of zero of the call on state
 i alone.  A single fixed-total state goes through the same code as a
 one-row batch.  The support of the whole stack is scaled by the cached
 ladder weights at once (a complex value times a real weight rounds the same
-in any numpy loop), then each row is scattered into one reused ``(M+1,
+in any numpy loop; the per-row rule in :mod:`twomode.moments` lists which
+operations do not), then each row is scattered into one reused ``(M+1,
 M+1)`` grid per side and reduced by the grid ``np.vdot``: only one grid per
 side is ever allocated, not one per row.  A number-changing spec gives
 zeros without any grid: by the total-photon selection rule the two images
@@ -76,7 +77,7 @@ def _log_factorials(total: int) -> tuple[float, ...]:
     return table
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class TwoModeState:
     """Amplitude grid ``amps[n1, n2]`` with 0 <= n_i <= cutoff_i.
 
@@ -85,6 +86,10 @@ class TwoModeState:
     allowed: a ladder operator produces one.
     """
 
+    # declared here, not by slots=True, which builds a second class that the
+    # frozen __setattr__ does not name: assigning a non-field then raised
+    # TypeError instead of FrozenInstanceError
+    __slots__ = ("amps",)
     amps: np.ndarray
 
     def __post_init__(self):
@@ -97,8 +102,13 @@ class TwoModeState:
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which validates
+        # and freezes a fresh grid
+        return type(self), (self.amps,)
 
-@dataclass(frozen=True, eq=False, slots=True)
+
+@dataclass(frozen=True, eq=False)
 class FixedTotalState:
     """State ``sum_n c[n] |n>|M-n>`` with M total photons shared by two modes.
 
@@ -111,6 +121,7 @@ class FixedTotalState:
         Must be normalized to within ``NORMALIZATION_TOL``.
     """
 
+    __slots__ = ("total", "amplitudes")  # as TwoModeState's
     total: int
     amplitudes: np.ndarray
 
@@ -130,6 +141,9 @@ class FixedTotalState:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    def __reduce__(self):  # as TwoModeState's
+        return type(self), (self.total, self.amplitudes)
 
 
 class MomentBatch(NamedTuple):

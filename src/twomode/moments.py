@@ -64,8 +64,22 @@ and sign of zero of the call on state i alone:
   does, and the ``0j`` start is added per row; an empty series gives
   ``+0.0+0.0j`` rows, the single call's ``0j``;
 - the product of two single-mode series for a number-changing cross moment
-  is taken row by row with the scalar ``*``: numpy's vector complex
-  multiply gives other bits on complex amplitudes.
+  is ``_cmul``, and ``compare_engines``' gap is ``_cabs`` of the difference
+  (a vector complex subtraction is exact in each component).
+
+This module is the one home of the per-row rule, which the witness
+reductions of :mod:`twomode.witnesses` follow too.  Elementwise
+``+ - * /``, ``sqrt``, ``abs`` of a float and a real scalar times a complex
+array round alike as numpy arrays and as scalars, so they run vectorised.
+Three operations run one row at a time with the scalar operator, through
+``_per_row``, because numpy's loops round them differently (counts on 10^6
+normal samples, x86_64 with FMA, numpy 2.4): the square ``x ** 2``
+(``_square``) is libm ``pow``, which differs from numpy's ``x*x`` on 865
+(``np.power`` with an array exponent: 27,018); complex ``abs`` (``_cabs``;
+``np.abs``: 349,610); and the complex product (``_cmul``; numpy's loop:
+437,552).  Each takes scalars, or arrays whose last operand comes from the
+moments, and gives the scalar result or an array of a fixed dtype, so a
+0-row batch keeps its dtype.
 """
 
 import enum
@@ -86,6 +100,21 @@ __all__ = [
     "expectation",
     "literal_moment",
 ]
+
+
+def _per_row(op, dtype):
+    """``op`` on scalars, or on arrays row by row into a ``dtype`` array,
+    where numpy's loop rounds differently (module docstring)."""
+    def apply(*args):
+        if not isinstance(args[-1], np.ndarray):  # the operand from the moments
+            return op(*args)
+        return np.array([op(*row) for row in np.broadcast(*args)], dtype=dtype)
+    return apply
+
+
+_square = _per_row(lambda x: x ** 2, float)     # libm pow; numpy's array ** 2 is x*x
+_cabs = _per_row(abs, float)                    # np.abs rounds complex moduli differently
+_cmul = _per_row(lambda a, b: a * b, complex)  # numpy's complex multiply loop may fuse
 
 
 class Engine(enum.Enum):
@@ -198,12 +227,8 @@ def literal_moment(state, spec: MomentSpec):
         return _series(state, *single)
     if spec.conserving:
         return _series(state, "cross", (spec.j, spec.k, spec.r, spec.s))
-    first = _series(state, "mode1", (spec.j, spec.k))
-    second = _series(state, "mode2", (spec.r, spec.s))
-    if isinstance(state, MomentBatch):
-        # scalar products, row by row, as the states alone multiply them
-        return np.array([a * b for a, b in zip(first, second)], dtype=complex)
-    return first * second
+    return _cmul(_series(state, "mode1", (spec.j, spec.k)),
+                 _series(state, "mode2", (spec.r, spec.s)))
 
 
 def expectation(state, spec: MomentSpec, engine: Engine):
@@ -269,11 +294,5 @@ def compare_engines(state, specs, tables=None) -> list[MomentReport]:
         lit = cached_expectation(literal, state, spec, Engine.LITERAL)
         ora = cached_expectation(oracle, state, spec, Engine.ORACLE)
         degenerate = not len(_series_plan(single[0], state.total, single[1])[2])
-        # the scalar difference, row by row for a batch, as each state takes
-        # it: np.abs rounds complex moduli differently
-        if isinstance(state, MomentBatch):
-            gap = np.array([abs(a - b) for a, b in zip(lit, ora)], dtype=float)
-        else:
-            gap = abs(lit - ora)
-        reports.append(MomentReport(spec, lit, ora, gap, degenerate))
+        reports.append(MomentReport(spec, lit, ora, _cabs(lit - ora), degenerate))
     return reports

@@ -23,15 +23,9 @@ their moments; a moment's value does not depend on which witness asked first.
 :func:`reduce_columns` runs the same reductions on the moment columns of a
 slice of states, under either engine, which the sweeps' tables use to reduce
 each witness once per slice; row i is the per-state result bit for bit.
-Elementwise ``+ - * /``, ``sqrt``, ``abs`` of a float and a real scalar
-times a complex array round alike as numpy arrays and as scalars, so they
-run vectorised.
-Three operations run one row at a time with the scalar operator, because
-numpy's loops round them differently (counts on 10^6 normal samples, x86_64
-with FMA, numpy 2.4): the square ``x ** 2`` is libm ``pow``, which differs
-from numpy's ``x*x`` on 865 (``np.power`` with an array exponent: 27,018);
-complex ``abs`` (``np.abs``: 349,610); and the complex product (numpy's
-loop: 437,552).
+The reductions follow the per-row rule of :mod:`twomode.moments`, whose
+docstring says which operations run vectorised and which run one row at a
+time through its ``_square``, ``_cabs`` and ``_cmul``.
 
 Sign convention: a witness certifies its nonclassical property when its value
 is strictly negative.  "Strictly" is enforced with a roundoff-aware guard:
@@ -54,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import FixedTotalState, MomentSpec
-from .moments import Engine, cached_expectation
+from .moments import Engine, _cabs, _cmul, _square, cached_expectation
 
 __all__ = [
     "DEFAULT_THETAS",
@@ -89,6 +83,11 @@ class Witness:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown witness kind {self.kind!r}")
+        # a parameter of another kind would make a second witness of one label
+        for field, owner in (("l", "hoa"), ("m", "hoa"), ("theta", "sum"), ("form", "epr")):
+            if getattr(self, field) is not None and self.kind != owner:
+                raise ValueError(f"{self.kind} takes no {field}, got {field}="
+                                 f"{getattr(self, field)!r}")
         if self.kind == "hoa":
             if self.l is None or self.m is None:
                 raise ValueError("hoa requires orders l and m")
@@ -181,25 +180,10 @@ def _resolve_engine(state, engine: Engine | None) -> Engine:
     return engine
 
 
-# --- exact helpers: one reduction serves scalars and columns (module doc) ---
-
-def _per_row(op):
-    """``op`` on scalars, or on arrays row by row, where numpy's loop rounds differently."""
-    def apply(*args):
-        if not isinstance(args[-1], np.ndarray):  # the operand from the moments
-            return op(*args)
-        return np.array([op(*row) for row in np.broadcast(*args)])
-    return apply
-
-
-_square = _per_row(lambda x: x ** 2)  # libm pow; numpy's array ** 2 is x*x
-_cabs = _per_row(abs)                 # np.abs rounds complex moduli differently
-_cmul = _per_row(lambda a, b: a * b)  # numpy's complex multiply loop may fuse
-
-
-# --- reductions: (witness, *moments in spec order) -> (value, scale, degenerate).
-# A degenerate denominator becomes 1.0 so that the division cannot fail; on
-# scalars np.where gives a 0-d array, whose arithmetic gives the same floats.
+# --- reductions: (witness, *moments in spec order) -> (value, scale, degenerate),
+# on scalars or on columns alike (module doc).  A degenerate denominator
+# becomes 1.0 so that the division cannot fail; on scalars np.where gives a
+# 0-d array, whose arithmetic gives the same floats.
 
 def _hoa_moments(l, m):  # the numerator's moments, then the denominator's (see _hoa)
     return (MomentSpec(l + 1, l + 1, m - 1, m - 1), MomentSpec(m - 1, m - 1, l + 1, l + 1),

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -317,6 +319,13 @@ def test_states_are_slotted_frozen_and_replaceable():
         assert not hasattr(state, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(state, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.extra = 1
+        # a copy is rebuilt frozen, not handed a writeable array
+        for twin in (pickle.loads(pickle.dumps(state)), copy.copy(state), copy.deepcopy(state)):
+            assert type(twin) is type(state)
+            assert np.array_equal(getattr(twin, field), getattr(state, field))
+            assert not getattr(twin, field).flags.writeable
     moved = dataclasses.replace(fixed, amplitudes=[0.8, 0.6])
     assert moved.total == 1 and moved.amplitudes.tolist() == [0.8, 0.6]
     assert not moved.amplitudes.flags.writeable

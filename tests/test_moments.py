@@ -330,6 +330,15 @@ def test_batch_empty_plans_give_positive_zero_rows():
         assert_column_rows(literal_moment(batch, spec), [0j, 0j], context=spec)
 
 
+def test_zero_row_batch_keeps_the_column_dtypes():
+    batch = MomentBatch(2, np.empty((0, 3), complex))
+    # the number-changing cross product and the gap are both taken row by row
+    product = literal_moment(batch, MomentSpec(1, 0, 1, 0))
+    assert product.dtype == np.complex128 and product.shape == (0,)
+    gap = compare_engines(batch, [MomentSpec(1, 0, 0, 0)])[0].abs_discrepancy
+    assert gap.dtype == np.float64 and gap.shape == (0,)
+
+
 def test_batch_stack_rejects_mixed_totals():
     with pytest.raises(ValueError):
         MomentBatch.stack([binomial_state(2, 0.5), binomial_state(3, 0.5)])
@@ -469,6 +478,21 @@ def test_compare_engines_batch_rows_equal_states(rng, kind, total):
                            np.float64, report.spec)
     assert tables[Engine.LITERAL] == {r.spec: r.literal_value for r in reports}
     assert tables[Engine.ORACLE] == {r.spec: r.oracle_value for r in reports}
+
+
+@pytest.mark.parametrize("total", [10, 20])
+def test_compare_engines_gap_is_the_scalar_modulus(rng, total):
+    # np.abs rounds a complex modulus differently from the scalar abs, on one
+    # state and on a batch alike, so equal rows and states do not show it
+    states = signed_zero_states(rng, total, 40, True)
+    specs = [MomentSpec(0, 1, 0, 0), MomentSpec(0, 2, 0, 0), MomentSpec(0, 0, 0, 1),
+             MomentSpec(1, 1, 0, 0)]
+    for state in [MomentBatch.stack(states), *states]:
+        for report in compare_engines(state, specs):
+            gaps = np.atleast_1d(report.abs_discrepancy)
+            diffs = np.atleast_1d(report.literal_value - report.oracle_value)
+            assert [repr(float(gap)) for gap in gaps] == [
+                repr(abs(complex(diff))) for diff in diffs], report.spec
 
 
 def test_compare_engines_flags_degenerate_orders():

@@ -17,6 +17,7 @@ from twomode import (
     evaluate,
     expectation,
     fock_pair,
+    moment_oracle,
     ngbs,
 )
 from twomode.sweep import (
@@ -24,7 +25,7 @@ from twomode.sweep import (
 )
 from twomode.witnesses import STRICT_ZERO, reduce_columns
 
-from conftest import signed_zero_states
+from conftest import random_fixed_total, random_grid_state, signed_zero_states
 
 VACUUM = fock_pair(0, 0)
 
@@ -247,6 +248,27 @@ def test_strict_zero_guard_scales_with_magnitude():
         assert not res.nonclassical
 
 
+def test_su11_is_the_uncertainty_product_of_jx_and_jy(rng):
+    # with Jx = (a1^dag a2 + a2^dag a1)/2, Jy = (a1^dag a2 - a2^dag a1)/(2i) and
+    # Jz = (n1 - n2)/2, su11 is 16 Var(Jx) Var(Jy) - 4<Jz>^2, which the
+    # Robertson relation Var(Jx) Var(Jy) >= <Jz>^2 / 4 keeps non-negative on
+    # every state: SU(1,1) can never certify entanglement
+    states = [random_fixed_total(rng, total) for total in range(1, 12) for _ in range(14)]
+    states += [random_grid_state(rng, 3, 4) for _ in range(146)]
+    for state in states:
+        def moment(*exponents):
+            return moment_oracle(state, MomentSpec(*exponents))
+        n1, n2, n1n2 = moment(1, 1, 0, 0).real, moment(0, 0, 1, 1).real, moment(1, 1, 1, 1).real
+        swap, twist = moment(1, 0, 0, 1), moment(2, 0, 0, 2).real  # <a1^dag a2>, <a1^dag2 a2^2>
+        jx_sq = (2 * twist + 2 * n1n2 + n1 + n2) / 4
+        jy_sq = (-2 * twist + 2 * n1n2 + n1 + n2) / 4
+        jz = (n1 - n2) / 2
+        expected = 16 * (jx_sq - swap.real ** 2) * (jy_sq - swap.imag ** 2) - 4 * jz ** 2
+        res = evaluate(state, Witness("su11"), Engine.ORACLE)
+        assert abs(res.value - expected) <= 1e-13 * max(1.0, res.scale), state
+        assert not res.nonclassical, state
+
+
 # --- witness descriptions --------------------------------------------------------
 
 def test_witness_parse_tokens():
@@ -300,6 +322,17 @@ def test_witness_requires_valid_orders():
         Witness("hoa", l=2, m=0)
     with pytest.raises(ValueError):
         Witness("sum")
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("sv", "theta", 1.0), ("sum", "l", 2), ("epr", "m", 1), ("hoa", "form", "literal"),
+    ("cs", "form", "variance"), ("su11", "theta", 0.0), ("quadx", "l", 1),
+])
+def test_witness_rejects_a_parameter_of_another_kind(kind, field, value):
+    # sv with a theta would be a second sv witness, with the sv label
+    required = {"hoa": {"l": 2, "m": 1}, "sum": {"theta": 0.5}, "epr": {"form": "literal"}}
+    with pytest.raises(ValueError, match=f"takes no {field}"):
+        Witness(kind, **{**required.get(kind, {}), field: value})
 
 
 def test_evaluate_dispatch_matches_direct_calls():
