@@ -70,14 +70,17 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--out", type=Path, default=None, help="output directory")
     p_sweep.add_argument("--format", dest="output_format", default=None,
                          help="csv|svg+csv (default csv)")
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_fig = sub.add_parser("figures", help="write the reference figure panels")
     p_fig.add_argument("--out", type=Path, required=True, help="output directory")
+    p_fig.set_defaults(run=_cmd_figures)
 
     p_tab = sub.add_parser("table1", help="print the summary classification table")
     p_tab.add_argument("--q", default=None, help="override the q grid (comma-separated)")
     p_tab.add_argument("--M", dest="totals", default=None,
                        help="override the M grid (comma-separated)")
+    p_tab.set_defaults(run=_cmd_table1)
 
     p_cmp = sub.add_parser("compare", help="compare moment engines on one state")
     p_cmp.add_argument("--state", default="ngbs", help="ngbs|binomial|fock")
@@ -85,6 +88,7 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("--p", type=float, required=True)
     p_cmp.add_argument("--q", type=float, default=0.0)
     p_cmp.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
+    p_cmp.set_defaults(run=_cmd_compare)
     return parser
 
 
@@ -163,15 +167,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "figures":
-            return _cmd_figures(args)
-        if args.command == "table1":
-            return _cmd_table1(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ConfigError, InvalidParams, NormalizationAnomaly, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

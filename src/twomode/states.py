@@ -94,13 +94,6 @@ class NGBSParams:
                 f"p + n*q exceeds 1 + M*q for some n (M={m}, p={p!r}, q={q!r})"
             )
 
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-        except InvalidParams:
-            return False
-        return True
-
 
 def ngbs(params: NGBSParams) -> FixedTotalState:
     """Build the generalized binomial state for the given parameters.

@@ -628,36 +628,22 @@ def _panel_moment_orders(panel_name: str, config: SweepConfig):
     return _DIAGNOSTIC_SPECS
 
 
-def _figure_plan(panels):
-    """What each of ``panels`` reads and what it leaves behind, in panel
-    order: one ``(name, config, slices, done)`` per panel.
+def _panel_slices(name: str, config: SweepConfig):
+    """One ``(tails key, grid key, orders)`` per q slice of a panel, sorted
+    by q (see :func:`_q_order`).
 
-    ``slices`` holds one ``(tails key, grid key, orders, again)`` per q
-    slice of the panel, sorted by q.  The grid key is the slice's key in
-    the run's cache (see :func:`_grid_slice`), which the panel's rows and
-    its report lines both read.  The tails key names the slice's report
-    tails, everything after ``figure,`` (see :func:`_slice_tails`), which
-    are the same for each distinct (M, q, moment orders, p grid); ``again``
-    is true when a later panel writes the same tails, which must then be
-    kept.  ``done`` holds the grid keys that no later panel computes or
-    reports: their slices leave the cache once the panel is written.
+    The grid key is the slice's key in the run's cache (see
+    :func:`_grid_slice`), which the panel's rows and its report lines both
+    read.  The tails key names the slice's report tails, everything after
+    ``figure,`` (see :func:`_slice_tails`), which are the same for each
+    distinct (M, q, moment orders, p grid).
     """
-    plan = []
-    later_tails, later_grids = set(), set()
-    for name, config in reversed(panels):
-        orders = _panel_moment_orders(name, config)
-        p_values = tuple(config.p_values().tolist())
-        slices = []
-        for q in sorted(config.q_list, key=_q_order)[::-1]:
-            # repr: the lines tell -0.0 from 0.0, which the cache key does not
-            tails = (config.total, repr(q), repr(config.p_grid), orders)
-            grid = (config.state_family, config.total, q, p_values)
-            slices.append((tails, grid, orders, tails in later_tails))
-            later_tails.add(tails)
-        grids = {grid for _, grid, _, _ in slices}
-        plan.append((name, config, slices[::-1], grids - later_grids))
-        later_grids |= grids
-    return plan[::-1]
+    orders = _panel_moment_orders(name, config)
+    p_values = tuple(config.p_values().tolist())
+    # repr: the tails tell -0.0 from 0.0, which the grid key does not
+    return [((config.total, repr(q), repr(config.p_grid), orders),
+             (config.state_family, config.total, q, p_values), orders)
+            for q in sorted(config.q_list, key=_q_order)]
 
 
 def _slice_tails(cache: dict, grid: tuple, orders) -> str:
@@ -716,18 +702,29 @@ def reproduce_figures(out_dir: Path) -> dict[str, int]:
 
     The panels are written one at a time: a panel's rows are released once
     its CSV and SVG are written, and then its lines of the report, which
-    is ordered by panel, are appended.
+    is ordered by panel, are appended.  One forward pass over the panels
+    first records, for each tails key and grid key (see
+    :func:`_panel_slices`), the index of the last panel that reads it.  A
+    slice's report tails are kept while a later panel writes them again,
+    and a grid slice leaves the cache after the report lines of the last
+    panel that reads it.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # one state and one moment table for each distinct grid point, shared by
     # the panels and the report lines that read its slice
     cache: dict = {}
+    panels = [(name, config, _panel_slices(name, config))
+              for name, config in figure_panels(out_dir)]
+    # each tails key and grid key -> the index of the last panel reading it;
+    # the two never collide: a tails key starts with M, a grid key with the family
+    last = {key: index for index, (_, _, slices) in enumerate(panels)
+            for tails, grid, _ in slices for key in (tails, grid)}
     kept = {}  # tails key -> the tails a later panel writes again
     counts: dict[str, int] = {}
     with open(out_dir / "discrepancy_report.csv", "w", newline="") as report:
         report.write(",".join(DISCREPANCY_HEADER) + "\n")
-        for name, config, slices, done in _figure_plan(figure_panels(out_dir)):
+        for index, (name, config, slices) in enumerate(panels):
             rows = _compute_rows(config, cache)
             counts[name] = len(rows)
             write_rows_csv(rows, out_dir / f"{name}.csv")
@@ -740,16 +737,18 @@ def reproduce_figures(out_dir: Path) -> dict[str, int]:
             (out_dir / f"{name}.svg").write_text(chart)
             del rows  # released before the panel's report lines
             head = name + ","
-            for key, grid, orders, again in slices:
+            for key, grid, orders in slices:
                 tails = kept.pop(key, None)
                 if tails is None:
                     tails = _slice_tails(cache, grid, orders)
-                if again:
+                if last[key] > index:
                     kept[key] = tails
                 if tails:
                     report.writelines(head + tail + "\n" for tail in tails.split("\n"))
-            for grid in done:
-                del cache[grid]
+            for _, grid, _ in slices:
+                # q = 0.0 and -0.0 share a grid key, so it may go already
+                if last[grid] == index:
+                    cache.pop(grid, None)
     return counts
 
 

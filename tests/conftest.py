@@ -18,6 +18,17 @@ def rng():
     return np.random.default_rng(SEED)
 
 
+def is_valid(params) -> bool:
+    """Whether ``params.validate()`` accepts the parameter point."""
+    from twomode import InvalidParams
+
+    try:
+        params.validate()
+    except InvalidParams:
+        return False
+    return True
+
+
 def random_fixed_total(rng, total: int, complex_amps: bool = True):
     """Random normalized amplitude vector over |n>|M-n>."""
     from twomode import FixedTotalState

@@ -45,6 +45,8 @@ from twomode.sweep import (
 )
 from twomode.witnesses import STRICT_ZERO
 
+from conftest import is_valid
+
 VACUUM = fock_pair(0, 0)
 
 
@@ -66,7 +68,7 @@ def test_c1_diagonal_engine_agreement():
         for q in (-0.01, 0.0, 0.01):
             for p in np.arange(0.1, 0.91, 0.1):
                 params = NGBSParams(total, float(p), q)
-                if not params.is_valid():
+                if not is_valid(params):
                     continue
                 state = ngbs(params)
                 for order in range(min(10, total) + 1):
@@ -108,7 +110,7 @@ def test_c3_abel_normalization():
         for q in (-0.01, -0.005, 0.0, 0.005, 0.01, 0.1):
             for p in np.arange(0.05, 0.951, 0.05):
                 params = NGBSParams(total, float(p), q)
-                if not params.is_valid():
+                if not is_valid(params):
                     continue
                 amps = ngbs(params).amplitudes
                 worst = max(worst, abs(float(np.sum(np.abs(amps) ** 2)) - 1.0))
@@ -139,7 +141,7 @@ def test_c5_antibunching_sign_reproduction():
     negative = []
     for p in p_values:
         params = NGBSParams(10, float(p), -0.01)
-        if not params.is_valid():
+        if not is_valid(params):
             continue
         res = evaluate(ngbs(params), Witness("hoa", l=9, m=1), Engine.ORACLE)
         if res.status == "ok":
@@ -150,7 +152,7 @@ def test_c5_antibunching_sign_reproduction():
     positive_ok = True
     for p in p_values:
         params = NGBSParams(10, float(p), 0.01)
-        if not params.is_valid():
+        if not is_valid(params):
             continue
         res = evaluate(ngbs(params), Witness("hoa", l=9, m=1), Engine.ORACLE)
         if res.status == "ok" and res.value < -1e-12:
@@ -169,7 +171,7 @@ def test_c6_sum_squeeze_theta_degeneracy():
         for q in (-0.01, 0.0, 0.01):
             for p in np.linspace(0.01, 0.99, 99):
                 params = NGBSParams(total, float(p), q)
-                if not params.is_valid():
+                if not is_valid(params):
                     continue
                 state = ngbs(params)
                 for engine in (Engine.LITERAL, Engine.ORACLE):
@@ -225,7 +227,7 @@ def test_c7_cauchy_schwarz_row(standard_table):
             valid = 0
             for p in np.linspace(start, end, steps):
                 params = NGBSParams(total, float(p), q)
-                if not params.is_valid():
+                if not is_valid(params):
                     continue
                 state = ngbs(params)
                 closed_min = min(closed_min, _cs_closed_form(state.amplitudes))

@@ -21,7 +21,7 @@ from twomode import (
 from twomode.sweep import STANDARD_Q
 from twomode.witnesses import DEFAULT_THETAS, Witness
 
-from conftest import assert_column_rows, random_fixed_total, signed_zero_states
+from conftest import assert_column_rows, is_valid, random_fixed_total, signed_zero_states
 from exact import factorial_moments, ngbs_probabilities
 
 
@@ -216,7 +216,7 @@ def test_literal_series_equal_scalar_loops_on_ngbs():
         for q in STANDARD_Q:
             for p in (0.01, 0.25, 0.5, 0.75, 0.99):
                 params = NGBSParams(total, p, q)
-                if not params.is_valid():
+                if not is_valid(params):
                     continue
                 state = ngbs(params)
                 for daggers in orders:
@@ -311,7 +311,7 @@ def test_batch_rows_equal_single_state_calls_on_ngbs_slices(total):
     # one batch per (M, q) slice of a p grid, as the sweeps stack them
     for q in STANDARD_Q:
         states = [ngbs(NGBSParams(total, p, q)) for p in np.linspace(0.01, 0.99, 25)
-                  if NGBSParams(total, p, q).is_valid()]
+                  if is_valid(NGBSParams(total, p, q))]
         if states:
             _assert_rows_equal_states(states, _batch_specs(total))
 
@@ -361,7 +361,7 @@ def test_engines_match_the_exact_factorial_moments():
         for q in STANDARD_Q:
             for p in np.linspace(0.01, 0.99, 99).tolist()[::10]:
                 params = NGBSParams(total, p, q)
-                if not params.is_valid():
+                if not is_valid(params):
                     continue
                 state = ngbs(params)
                 probabilities = ngbs_probabilities(total, p, q)
@@ -431,7 +431,7 @@ def test_compare_engines_reads_and_fills_tables(total):
     for q in STANDARD_Q:
         for p in (0.05, 0.5, 0.95):
             params = NGBSParams(total, p, q)
-            if not params.is_valid():
+            if not is_valid(params):
                 continue
             state = ngbs(params)
             tables = {}
@@ -459,7 +459,7 @@ def test_compare_engines_batch_rows_equal_states(rng, kind, total):
     specs += [MomentSpec(0, 0, d, low) for d, low in orders]
     if kind == "ngbs":
         states = [ngbs(NGBSParams(total, p, q)) for q in STANDARD_Q
-                  for p in np.linspace(0.05, 0.95, 7) if NGBSParams(total, p, q).is_valid()]
+                  for p in np.linspace(0.05, 0.95, 7) if is_valid(NGBSParams(total, p, q))]
     else:
         states = signed_zero_states(rng, total, 6, True)
     tables = {}

@@ -21,6 +21,8 @@ import numpy as np
 from twomode.states import NGBSParams
 from twomode.sweep import STANDARD_P_GRID
 
+from conftest import is_valid
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
@@ -53,7 +55,7 @@ def test_traced_table1_records_its_required_spans(tmp_path):
                 "--json", out, "--", "table1", "--M", "10", "--q", "-0.01,0")
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(out.read_text())
-    valid = sum(NGBSParams(10, float(p), q).is_valid()
+    valid = sum(is_valid(NGBSParams(10, float(p), q))
                 for q in (-0.01, 0.0) for p in np.linspace(*STANDARD_P_GRID))
     # each point built once (the invalid ones raise inside ngbs), 13
     # witnesses for each valid one, and one literal batch per (q, spec):

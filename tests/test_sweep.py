@@ -36,6 +36,8 @@ from twomode.sweep import (
 )
 from twomode.witnesses import Witness
 
+from conftest import is_valid
+
 
 def small_config(tmp_path, **overrides):
     base = dict(
@@ -641,7 +643,7 @@ def _fail_one_valid_point(monkeypatch):
 
     build = sweep.ngbs
     failing = NGBSParams(10, float(np.linspace(*STANDARD_P_GRID)[40]), 0.0)
-    assert failing.is_valid()
+    assert is_valid(failing)
     raised = []
 
     def anomalous(params):
@@ -782,7 +784,7 @@ def test_figures_build_each_state_and_moment_once(monkeypatch, tmp_path):
             for p in config.p_values():
                 point = (config.total, float(p), q)
                 grid_points.add(point)
-                if not NGBSParams(*point).is_valid():
+                if not is_valid(NGBSParams(*point)):
                     continue
                 needed.update((point, spec, panel_engine)
                               for witness in config.witnesses for spec in witness.specs)
@@ -815,7 +817,7 @@ def test_table1_computes_each_literal_moment_once_per_slice(monkeypatch):
     specs = {spec for row in rows for witness in row.witnesses for spec in witness.specs}
     grid = [(M, float(p), q) for M in STANDARD_M for q in STANDARD_Q
             for p in np.linspace(*STANDARD_P_GRID)]
-    valid = [point for point in grid if NGBSParams(*point).is_valid()]
+    valid = [point for point in grid if is_valid(NGBSParams(*point))]
     assert len(specs) == 26 and len(grid) == 1188 and len(valid) == 1106
     # each point is built once; the invalid ones raise inside ngbs
     assert builds == Counter(dict.fromkeys(grid, 1))
@@ -873,7 +875,7 @@ def test_figures_compare_and_reduce_once_per_distinct_slice(monkeypatch, tmp_pat
         for q in config.q_list:
             compared.add((config.total, q, tuple(MomentSpec(d, low, 0, 0) for d, low in orders)))
             compared.add((config.total, q, tuple(MomentSpec(0, 0, d, low) for d, low in orders)))
-            valid = sum(NGBSParams(config.total, float(p), q).is_valid()
+            valid = sum(is_valid(NGBSParams(config.total, float(p), q))
                         for p in config.p_values())
             reduced.update(((config.total, q, witness, engine), valid)
                            for witness in config.witnesses)

@@ -11,6 +11,7 @@ from twomode import (
     FixedTotalState,
     MomentSpec,
     NGBSParams,
+    TwoModeState,
     Witness,
     binomial_state,
     coherent_product,
@@ -25,7 +26,7 @@ from twomode.sweep import (
 )
 from twomode.witnesses import STRICT_ZERO, reduce_columns
 
-from conftest import random_fixed_total, random_grid_state, signed_zero_states
+from conftest import is_valid, random_fixed_total, random_grid_state, signed_zero_states
 
 VACUUM = fock_pair(0, 0)
 
@@ -115,7 +116,7 @@ def test_cauchy_schwarz_hand_values():
 def test_hoa_engine_independence(total, p, q, l, m):
     assume(l >= m)
     params = NGBSParams(total, p, q)
-    assume(params.is_valid())
+    assume(is_valid(params))
     state = ngbs(params)
     lit = evaluate(state, Witness("hoa", l=l, m=m), Engine.LITERAL)
     ora = evaluate(state, Witness("hoa", l=l, m=m), Engine.ORACLE)
@@ -269,6 +270,54 @@ def test_su11_is_the_uncertainty_product_of_jx_and_jy(rng):
         assert not res.nonclassical, state
 
 
+# --- separable states ----------------------------------------------------------------
+
+_FOCK_PAIRS = [(n1, n2) for n1 in range(6) for n2 in range(6)]
+
+
+def _product_states(rng):
+    """The 36 Fock pairs |n1, n2> with n1, n2 <= 5 (in ``_FOCK_PAIRS``
+    order), four coherent products, and 300 seeded random complex products
+    ``u (x) v`` of one to six levels a mode, each a ``TwoModeState`` grid."""
+    def unit(levels):
+        vec = rng.standard_normal(levels) + 1j * rng.standard_normal(levels)
+        return vec / np.linalg.norm(vec)
+
+    states = [fock_pair(n1, n2) for n1, n2 in _FOCK_PAIRS]
+    states += [coherent_product(a1, a2, 40)
+               for a1, a2 in ((0.5, 0.5), (1.0, 1j), (1.5, -0.3), (0.2 + 0.7j, 2.0))]
+    states += [TwoModeState(np.outer(unit(rng.integers(1, 7)), unit(rng.integers(1, 7))))
+               for _ in range(300)]
+    return states
+
+
+def test_entanglement_witnesses_on_product_states(rng):
+    # an entanglement witness must never flag a product state: su11 (which
+    # Robertson's relation keeps >= 0 on every state) and epr:variance hold
+    # to that; sv and epr:literal are the declared class whose forms fire on
+    # separable states, so their flags are no evidence of entanglement
+    states = _product_states(rng)
+    fired, values = {}, {}
+    for token in ("su11", "epr:variance", "sv", "epr:literal"):
+        witness, = Witness.parse(token)
+        results = [evaluate(state, witness, Engine.ORACLE) for state in states]
+        assert all(result.status == "ok" for result in results), token
+        fired[token] = {index for index, result in enumerate(results) if result.nonclassical}
+        values[token] = [result.value for result in results]
+    assert not fired["su11"]
+    assert not fired["epr:variance"]
+    fock = range(len(_FOCK_PAIRS))
+    # (<n1> - 1/2)(<n2> - 1/2) < 0 exactly when one mode is empty and the other is not
+    assert {_FOCK_PAIRS[i] for i in fired["sv"] if i in fock} == {
+        (n1, n2) for n1, n2 in _FOCK_PAIRS if (n1 == 0) != (n2 == 0)}
+    assert values["sv"][_FOCK_PAIRS.index((0, 1))] == pytest.approx(-0.25, abs=1e-12)
+    # the literal form's unphysical -1 at the vacuum is its only Fock-pair flag
+    assert {_FOCK_PAIRS[i] for i in fired["epr:literal"] if i in fock} == {(0, 0)}
+    assert values["epr:literal"][_FOCK_PAIRS.index((0, 0))] == pytest.approx(-1.0, abs=1e-12)
+    # and both fire on random products too, not only on the Fock pairs
+    assert max(fired["sv"]) >= len(_FOCK_PAIRS) and max(fired["epr:literal"]) >= len(_FOCK_PAIRS)
+
+
 # --- witness descriptions --------------------------------------------------------
 
 def test_witness_parse_tokens():
@@ -371,7 +420,7 @@ def _table_states():
         for q in STANDARD_Q:
             for p in (0.3, 0.7):
                 params = NGBSParams(total, p, q)
-                if params.is_valid():
+                if is_valid(params):
                     cases.append(pytest.param(ngbs(params), both, id=f"ngbs-{total}-{p}-{q}"))
     for n1, n2 in ((0, 0), (1, 0), (1, 1), (2, 2), (3, 1)):
         cases.append(pytest.param(_fixed_total_fock(n1, n2), both, id=f"fock-{n1}-{n2}"))
