@@ -77,9 +77,12 @@ def _build_parser() -> _Parser:
     p_fig.set_defaults(run=_cmd_figures)
 
     p_tab = sub.add_parser("table1", help="print the summary classification table")
-    p_tab.add_argument("--q", default=None, help="override the q grid (comma-separated)")
-    p_tab.add_argument("--M", dest="totals", default=None,
-                       help="override the M grid (comma-separated)")
+    # parse_list raises ConfigError, which is not a ValueError, so argparse
+    # lets it through unwrapped and main prints its message
+    p_tab.add_argument("--q", type=parse_list, default=STANDARD_Q,
+                       help="override the q grid (comma-separated)")
+    p_tab.add_argument("--M", dest="totals", type=lambda text: parse_list(text, int, "M list"),
+                       default=STANDARD_M, help="override the M grid (comma-separated)")
     p_tab.set_defaults(run=_cmd_table1)
 
     p_cmp = sub.add_parser("compare", help="compare moment engines on one state")
@@ -119,13 +122,7 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    q_values = STANDARD_Q
-    m_values = STANDARD_M
-    if args.q is not None:
-        q_values = parse_list(args.q)
-    if args.totals is not None:
-        m_values = parse_list(args.totals, int, "M list")
-    rows = table1_report(m_values=m_values, q_values=q_values)
+    rows = table1_report(m_values=args.totals, q_values=args.q)
     print(format_table1(rows))
     # on stderr, so that the table on stdout stays as it was
     for row in rows:

@@ -178,10 +178,22 @@ class SweepConfig:
         start, end, steps = self.p_grid
         if steps < 2:
             raise ConfigError(f"p grid needs steps >= 2, got {steps}")
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ConfigError(f"p grid needs a finite start and end, got {start!r}..{end!r}")
         if not start < end:
             raise ConfigError(f"p grid needs start < end, got {start!r}..{end!r}")
         if not self.witnesses:
             raise ConfigError("witness list must not be empty")
+        # a repeat would write its rows twice: one row per (q, p, witness,
+        # engine).  q values compare as _q_order orders them, so 0.0 and -0.0
+        # are two, and witnesses by Witness equality, so sum:0.0 and sum:-0.0
+        for what, keys, shown in (("q", map(_q_order, self.q_list), self.q_list),
+                                  ("witness", self.witnesses, map(Witness.label, self.witnesses))):
+            seen = set()
+            for key, item in zip(keys, shown):
+                if key in seen:
+                    raise ConfigError(f"repeated {what}: {item!r}")
+                seen.add(key)
         if not self.engines:
             raise ConfigError("engine list must not be empty")
         if self.state_family not in FIXED_TOTAL_FAMILIES and Engine.LITERAL in self.engines:

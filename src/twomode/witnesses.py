@@ -3,13 +3,17 @@
 One public call evaluates a witness on a state,
 ``evaluate(state, Witness("hoa", l=9, m=1), engine)``; a kind has no function
 of its own.  Every witness kind is declared once, as data, in one table,
-``_KINDS``: the normally ordered moments its reduction takes, in order (for
-``hoa`` a function of its orders l, m), and that reduction, a pure function
-that turns their values into the witness value and its scale.  Each
-reduction's docstring gives its formula.  The kind checks of
-:class:`Witness` and :meth:`Witness.parse`, :attr:`Witness.specs` (built once
-per witness), :func:`evaluate` and :func:`reduce_columns` all read it, so a
-new kind is one entry plus its reduction.  Antinormally ordered building
+``_KINDS``, of one ``_Kind`` per kind: the normally ordered moments its
+reduction takes, in order (for ``hoa`` a function of its orders l, m); that
+reduction, a pure function that turns their values into the witness value
+and its scale; the parameters the kind takes, each a field of
+:class:`Witness` and the parser of its token text, in token order; and the
+parameter rows a bare token stands for.  Each reduction's docstring gives
+its formula.  The parameter checks of :class:`Witness`,
+:meth:`Witness.label` and :meth:`Witness.parse`, :attr:`Witness.specs`
+(built once per witness), :func:`evaluate` and :func:`reduce_columns` all
+read it, so a new kind, with parameters or without, is one entry plus its
+reduction.  Antinormally ordered building
 blocks are converted uniformly via ``<a a^dag> = <a^dag a> + 1`` and
 ``<a1 a1^dag a2 a2^dag> = <(n1+1)(n2+1)>``.
 
@@ -43,7 +47,7 @@ raising or returning an infinity.
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,8 +74,9 @@ EPR_FORMS = ("literal", "variance")
 class Witness:
     """A witness kind plus its parameters (when it has any).
 
-    ``hoa`` carries orders (l, m) with l >= m >= 1, ``sum`` carries the
-    phase angle theta, ``epr`` carries the form ("literal" or "variance").
+    The kind's ``_KINDS`` entry declares which parameters it takes: ``hoa``
+    carries orders (l, m) with l >= m >= 1, ``sum`` carries the phase angle
+    theta, ``epr`` carries the form ("literal" or "variance").
     """
 
     kind: str
@@ -84,22 +89,21 @@ class Witness:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown witness kind {self.kind!r}")
         # a parameter of another kind would make a second witness of one label
-        for field, owner in (("l", "hoa"), ("m", "hoa"), ("theta", "sum"), ("form", "epr")):
-            if getattr(self, field) is not None and self.kind != owner:
-                raise ValueError(f"{self.kind} takes no {field}, got {field}="
-                                 f"{getattr(self, field)!r}")
-        if self.kind == "hoa":
-            if self.l is None or self.m is None:
-                raise ValueError("hoa requires orders l and m")
-            if not (self.l >= self.m >= 1):
-                raise ValueError(f"hoa requires l >= m >= 1, got l={self.l}, m={self.m}")
-        if self.kind == "sum" and self.theta is None:
-            raise ValueError("sum requires the angle theta")
+        takes = [field for field, _ in _KINDS[self.kind].params]
+        for field in ("l", "m", "theta", "form"):
+            value = getattr(self, field)
+            if value is not None and field not in takes:
+                raise ValueError(f"{self.kind} takes no {field}, got {field}={value!r}")
+        missing = [field for field in takes if getattr(self, field) is None]
+        if missing:
+            raise ValueError(f"{self.kind} requires {' and '.join(missing)}")
+        if self.l is not None and not (self.l >= self.m >= 1):
+            raise ValueError(f"{self.kind} requires l >= m >= 1, got l={self.l}, m={self.m}")
         # the reduction takes cos(2 theta), which fails on an infinite argument
         if self.theta is not None and not math.isfinite(2 * self.theta):
             raise ValueError(f"theta must be finite, and so must 2*theta, got {self.theta!r}")
-        if self.kind == "epr" and self.form not in EPR_FORMS:
-            raise ValueError(f"epr form must be one of {EPR_FORMS}, got {self.form!r}")
+        if self.form is not None and self.form not in EPR_FORMS:
+            raise ValueError(f"{self.kind} form must be one of {EPR_FORMS}, got {self.form!r}")
         # keyed and hashed once: witnesses key the sweeps' per-slice results.
         # The key holds the sign of theta, so that sum:0.0 and sum:-0.0,
         # which the label and the CSV tell apart, are two witnesses.
@@ -119,46 +123,39 @@ class Witness:
     @functools.cached_property
     def specs(self) -> tuple[MomentSpec, ...]:
         """The moments the witness reduces, in the order its reduction takes them."""
-        moments = _KINDS[self.kind][0]
+        moments = _KINDS[self.kind].moments
         return moments(self.l, self.m) if callable(moments) else moments
 
     def label(self) -> str:
-        if self.kind == "hoa":
-            return f"hoa:{self.l},{self.m}"
-        if self.kind == "sum":
-            return f"sum:{self.theta!r}"
-        if self.kind == "epr":
-            return f"epr:{self.form}"
-        return self.kind
+        """The witness's token, ``kind`` or ``kind:param,...``; it parses back to it."""
+        values = ",".join(str(parser(getattr(self, field)))
+                          for field, parser in _KINDS[self.kind].params)
+        return f"{self.kind}:{values}" if values else self.kind
 
     @classmethod
     def parse(cls, text: str) -> list["Witness"]:
         """Parse a witness token such as ``hoa:9,1``, ``sum:0.5`` or ``epr``.
 
-        Returns a list because a bare ``sum`` expands to the default theta
-        set.  A bare ``hoa`` means orders (1, 1); a bare ``epr`` means the
-        literal form.
+        The argument after the colon gives the kind's parameters in order,
+        separated by commas.  Returns a list because a bare token stands for
+        its kind's ``bare`` rows: a bare ``sum`` expands to the default theta
+        set, a bare ``hoa`` means orders (1, 1), a bare ``epr`` the literal
+        form.
         """
         head, _, arg = text.strip().lower().partition(":")
         aliases = {"cauchy": "cs", "cauchy-schwarz": "cs", "sumsqueeze": "sum"}
         head = aliases.get(head, head)
-        if head == "hoa":
-            if arg:
-                try:
-                    l_txt, m_txt = arg.split(",")
-                    return [cls("hoa", l=int(l_txt), m=int(m_txt))]
-                except ValueError as exc:
-                    raise ValueError(f"cannot parse hoa orders from {text!r}") from exc
-            return [cls("hoa", l=1, m=1)]
-        if head == "sum":
-            if arg:
-                return [cls("sum", theta=float(arg))]
-            return [cls("sum", theta=t) for t in DEFAULT_THETAS]
-        if head == "epr":
-            return [cls("epr", form=arg or "literal")]
-        if head in _KINDS and not arg:
-            return [cls(head)]
-        raise ValueError(f"cannot parse witness {text!r}")
+        if head not in _KINDS:
+            raise ValueError(f"cannot parse witness {text!r}")
+        params, rows = _KINDS[head].params, _KINDS[head].bare
+        if arg:
+            try:
+                rows = [[parser(token) for (_, parser), token
+                         in zip(params, arg.split(","), strict=True)]]
+            except ValueError as exc:
+                raise ValueError(f"cannot parse witness {text!r}") from exc
+        return [cls(head, **{field: value for (field, _), value in zip(params, row)})
+                for row in rows]
 
 
 class WitnessResult(NamedTuple):
@@ -348,17 +345,32 @@ _QUADRATURE = (
     _PAIR,
 )
 
-# each witness kind: (the moments its reduction takes, in order, or for hoa
-# the function of (l, m) that gives them; the reduction)
+class _Kind(NamedTuple):
+    """One witness kind, the whole of its declaration.
+
+    ``moments``: the moments its reduction takes, in order, or for ``hoa``
+    the function of (l, m) that gives them.  ``reduction``: the function of
+    the witness and those moments' values.  ``params``: a (field, parser)
+    pair per parameter, in token order.  ``bare``: the parameter rows a bare
+    token stands for.
+    """
+
+    moments: tuple | Callable
+    reduction: Callable
+    params: tuple = ()
+    bare: tuple = ((),)
+
+
 _KINDS = {
-    "hoa": (_hoa_moments, _hoa),
-    "quadx": (_QUADRATURE, _quadrature),
-    "quady": (_QUADRATURE, _quadrature),
-    "sum": ((_N1, _N2, _N1N2, MomentSpec(0, 2, 0, 2), _PAIR), _sum),
-    "sv": ((_N1, _N2, MomentSpec(1, 0, 1, 0), _PAIR), _sv),
-    "epr": (_QUADRATURE, _epr),
-    "su11": ((_N1, _N2, _N1N2, MomentSpec(0, 2, 2, 0), MomentSpec(1, 0, 0, 1)), _su11),
-    "cs": ((MomentSpec(2, 2, 0, 0), MomentSpec(0, 0, 2, 2), _N1N2), _cs),
+    "hoa": _Kind(_hoa_moments, _hoa, (("l", int), ("m", int)), ((1, 1),)),
+    "quadx": _Kind(_QUADRATURE, _quadrature),
+    "quady": _Kind(_QUADRATURE, _quadrature),
+    "sum": _Kind((_N1, _N2, _N1N2, MomentSpec(0, 2, 0, 2), _PAIR), _sum, (("theta", float),),
+                 tuple((theta,) for theta in DEFAULT_THETAS)),
+    "sv": _Kind((_N1, _N2, MomentSpec(1, 0, 1, 0), _PAIR), _sv),
+    "epr": _Kind(_QUADRATURE, _epr, (("form", str),), (("literal",),)),
+    "su11": _Kind((_N1, _N2, _N1N2, MomentSpec(0, 2, 2, 0), MomentSpec(1, 0, 0, 1)), _su11),
+    "cs": _Kind((MomentSpec(2, 2, 0, 0), MomentSpec(0, 0, 2, 2), _N1N2), _cs),
 }
 
 
@@ -388,7 +400,7 @@ def evaluate(
     if result is not None:
         return result(witness, engine)
     values = [cached_expectation(table, state, spec, engine) for spec in witness.specs]
-    value, scale, degenerate = _KINDS[witness.kind][1](witness, *values)
+    value, scale, degenerate = _KINDS[witness.kind].reduction(witness, *values)
     if degenerate:
         return WitnessResult(witness, math.nan, False, engine, "degenerate")
     return WitnessResult(witness, float(value), bool(_nonclassical(value, scale)), engine, "ok",
@@ -402,7 +414,7 @@ def reduce_columns(witness: Witness, columns, engine: Engine) -> list:
     bit, :func:`evaluate`'s with that engine and a table holding row i of
     each column."""
     values, scales, degenerates = np.broadcast_arrays(
-        *_KINDS[witness.kind][1](witness, *map(np.asarray, columns)))
+        *_KINDS[witness.kind].reduction(witness, *map(np.asarray, columns)))
     rows = zip(values.tolist(), scales.tolist(), _nonclassical(values, scales).tolist(),
                degenerates.tolist())
     return [WitnessResult(witness, math.nan, False, engine, "degenerate") if degenerate

@@ -80,6 +80,10 @@ def test_config_rejects_degenerate_grid(tmp_path):
         {"engines": ()},
         {"output_format": "pdf"},
         {"total": -2},
+        {"p_grid": (-math.inf, 0.9, 3)},
+        {"p_grid": (0.1, math.nan, 3)},
+        {"q_list": (0.01, -0.01, 0.01)},
+        {"witnesses": (Witness("sv"), Witness("hoa", l=2, m=1), Witness("sv"))},
     ],
 )
 def test_config_rejects_bad_fields(tmp_path, overrides):
@@ -1024,11 +1028,13 @@ def test_cli_exit_codes(tmp_path):
         ["table1", "--M", "ten"],
         ["table1", "--q", "-0.5", "--M", "10"],
         ["compare", "--M", "3", "--p", "0.5", "--max-order", "-1"],
+        ["table1", "--q", "0,0", "--M", "10"],
     ],
 )
 def test_cli_rejects_empty_or_invalid_grids(argv, capsys):
     # an empty grid, or one without a valid point, would print a table of
-    # "No" rows (or no rows) as if it had been evaluated
+    # "No" rows (or no rows) as if it had been evaluated; a repeated q is
+    # rejected as a sweep rejects it
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1048,6 +1054,29 @@ def test_cli_sweep_rejects_nonfinite_theta_before_any_work(tmp_path, capsys, the
     assert captured.out == ""
     assert captured.err.startswith("error: theta must be finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--witness", "hoa:2,1", "--witness", "hoa:2,1"], "repeated witness: 'hoa:2,1'"),
+    (["--witness", "sum sum:0.0"], "repeated witness: 'sum:0.0'"),
+    (["--q", "0,0,-0"], "repeated q: 0.0"),
+    (["--q", "nan,0.01,nan"], "repeated q: nan"),
+    (["--p", "0.1:inf:3"], "p grid needs a finite start and end, got 0.1..inf"),
+    (["--p", "nan:0.9:3"], "p grid needs a finite start and end, got nan..0.9"),
+])
+def test_cli_sweep_rejects_repeats_and_nonfinite_p_before_any_work(tmp_path, capsys, flags,
+                                                                    message):
+    # unchecked, a repeated witness or q writes its rows twice, and an
+    # infinite p endpoint gives rows at p = nan and inf with a numpy warning
+    fields = {"--state": "ngbs", "--M": "10", "--q": "0", "--p": "0.1:0.9:3",
+              "--witness": "sv", "--out": str(tmp_path / "out")}
+    argv = ["sweep"] + [token for flag, value in fields.items()
+                        if flag not in flags for token in (flag, value)] + flags
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_names_missing_flags_before_any_work(tmp_path, capsys):

@@ -332,7 +332,8 @@ def test_witness_parse_tokens():
 
 
 @pytest.mark.parametrize(
-    "token", ["hoa:1,2", "hoa:x,y", "nope", "epr:odd", "quadx:3", "sum:nan", "sum:inf", "sum:-inf"]
+    "token", ["hoa:1,2", "hoa:x,y", "nope", "epr:odd", "quadx:3", "sum:nan", "sum:inf", "sum:-inf",
+              "hoa:2", "hoa:2,1,1", "sum:0.5,1", "epr:literal,variance", "sv:1"]
 )
 def test_witness_parse_rejects_bad_tokens(token):
     with pytest.raises(ValueError):
@@ -350,18 +351,34 @@ def test_each_witness_kind_declares_the_moments_its_reduction_takes():
     from twomode.witnesses import _KINDS
 
     assert set(_KINDS) == set(_MOMENTS_PER_KIND)
-    for kind, (_, reduction) in _KINDS.items():
-        takes = len(inspect.signature(reduction).parameters) - 1  # the witness first
+    for kind, entry in _KINDS.items():
+        takes = len(inspect.signature(entry.reduction).parameters) - 1  # the witness first
         assert takes == _MOMENTS_PER_KIND[kind], kind
     variants = [witness for kind in _KINDS for witness in Witness.parse(kind)]
     variants += [Witness("hoa", l=l, m=m) for l, m in ((2, 1), (2, 2), (5, 1), (9, 1), (9, 9))]
     variants += [Witness("epr", form="variance"), Witness("sum", theta=-0.0),
-                 Witness("sum", theta=0.5), Witness("sum", theta=-2.5)]
+                 Witness("sum", theta=0.5), Witness("sum", theta=-2.5),
+                 Witness("sum", theta=np.float64(0.5)), Witness("hoa", l=np.int64(9), m=1)]
     for witness in variants:
         assert len(witness.specs) == _MOMENTS_PER_KIND[witness.kind], witness
         assert all(isinstance(spec, MomentSpec) for spec in witness.specs), witness
         # the label is the witness's token: it parses back to the witness
         assert Witness.parse(witness.label()) == [witness], witness
+
+
+def test_a_kind_with_parameters_is_one_table_entry(monkeypatch):
+    # a kind declares its parameters and bare token in its entry alone:
+    # a copy of sum's entry under another name checks, labels and parses
+    from twomode.witnesses import _KINDS
+
+    monkeypatch.setitem(_KINDS, "twin", _KINDS["sum"])
+    assert len(Witness.parse("twin")) == 4
+    assert Witness("twin", theta=0.5).label() == "twin:0.5"
+    assert Witness.parse("twin:0.5") == [Witness("twin", theta=0.5)]
+    with pytest.raises(ValueError, match="twin requires theta"):
+        Witness("twin")
+    with pytest.raises(ValueError, match="twin takes no l"):
+        Witness("twin", l=1, theta=0.5)
 
 
 def test_witness_requires_valid_orders():
