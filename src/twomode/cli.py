@@ -45,8 +45,9 @@ class _Parser(argparse.ArgumentParser):
     # for I/O problems, so usage errors are rethrown as config errors
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # accept tokens like "-0.01,0,0.01" as values, not option strings
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
+        # accept tokens like "-0.01,0,0.01", "-inf:0.9:3" or "-nan" as
+        # values, not option strings
+        self._negative_number_matcher = re.compile(r"^-(?:[\d.]|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ConfigError(message)

@@ -141,7 +141,8 @@ class SweepConfig:
 
         Keys: state, m, q (comma-separated), p (start:end:steps), witnesses
         (';'- or space-separated tokens), engine (literal|oracle|both,
-        default literal), out, format (csv|svg+csv, default csv).  A key
+        default literal), out, format (csv|svg+csv, default csv).  The
+        values of state, engine and format are read in any case.  A key
         that is absent or None is missing; any other key is an error.
         """
         required = {"state", "m", "q", "p", "witnesses", "out"}
@@ -161,7 +162,7 @@ class SweepConfig:
                 witnesses=parse_witness_field(values["witnesses"]),
                 engines=parse_engines(values.get("engine", "literal")),
                 output_path=Path(values["out"]),
-                output_format=values.get("format", "csv"),
+                output_format=values.get("format", "csv").lower(),
             )
         except ConfigError:
             raise
@@ -205,9 +206,11 @@ class SweepConfig:
         if self.output_format not in ("csv", "svg+csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
 
-    def p_values(self) -> np.ndarray:
-        start, end, steps = self.p_grid
-        return np.linspace(start, end, steps)
+    def p_values(self) -> tuple[float, ...]:
+        """The p grid as Python floats, ``np.linspace(start, end, steps)``:
+        the p values of the rows, and of a slice's key in the run's cache
+        (see :func:`_grid_slice`)."""
+        return tuple(np.linspace(*self.p_grid).tolist())
 
 
 class SweepRow(NamedTuple):
@@ -450,7 +453,7 @@ def _evaluations(config: SweepConfig, cache: dict | None = None):
     the failure its build stored (see :func:`_point_state`)."""
     pairs = [(witness, engine) for witness in sorted(config.witnesses, key=Witness.label)
              for engine in sorted(config.engines, key=lambda e: e.value)]
-    p_values = tuple(config.p_values().tolist())
+    p_values = config.p_values()
     for q in sorted(config.q_list, key=_q_order):
         for p, state, table in _grid_slice(
                 {} if cache is None else cache, config.state_family, config.total, q, p_values):
@@ -513,10 +516,6 @@ def _csv_lines(rows):
                f"{status}\n")
 
 
-def _safe_stem(label: str) -> str:
-    return label.replace(":", "_").replace(",", "-").replace(".", "p")
-
-
 def _labelled(rows):
     """``(witness label, row)`` per row, each label computed once per
     distinct witness; the key holds the ``repr`` of theta, which keeps
@@ -530,10 +529,12 @@ def _labelled(rows):
         yield label, row
 
 
-def _curves(rows):
-    """Group ok/degenerate rows into labelled (xs, ys) curves over p, one
-    per (witness label, q, engine); the ``repr`` of q keeps the slices of
-    ``q=0.0`` and ``q=-0.0`` apart, and sorts the second first."""
+def _chart(rows, title: str) -> str:
+    """The SVG chart of ``rows``: one curve over p per (witness label, q,
+    engine) of the ok and degenerate rows, drawn by ``render_line_chart``
+    (looked up at call time, so that a wrapper sees it).  The ``repr`` of q
+    keeps the slices of ``q=0.0`` and ``q=-0.0`` apart, and sorts the second
+    first."""
     groups: dict[tuple, list[SweepRow]] = {}
     for label, row in _labelled(rows):
         if row.status == "invalid_params":
@@ -547,44 +548,35 @@ def _curves(rows):
         xs = [r.p for r in sub]
         ys = [r.value if r.value is not None else float("nan") for r in sub]
         curves.append((f"{label} q={q:g} [{engine}]", xs, ys))
-    return curves
-
-
-def render_sweep_svgs(rows, out_dir: Path, stem: str) -> list[Path]:
-    """One chart per witness label, one curve per (q, engine)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    by_label: dict[str, list[SweepRow]] = {}
-    for label, row in _labelled(rows):
-        by_label.setdefault(label, []).append(row)
-    written = []
-    for label in sorted(by_label):
-        svg = render_line_chart(
-            _curves(by_label[label]),
-            title=f"{stem}: {label}",
-            x_label="p",
-            y_label="witness value",
-        )
-        path = out_dir / f"{stem}_{_safe_stem(label)}.svg"
-        path.write_text(svg)
-        written.append(path)
-    return written
+    return render_line_chart(curves, title=title, x_label="p", y_label="witness value")
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Run the sweep and write ``sweep.csv`` (plus charts) to the output dir."""
+    """Run the sweep and write ``sweep.csv`` to the output directory.
+
+    Under the ``svg+csv`` format it also writes one chart per witness label,
+    in label order, with one curve per (q, engine): ``sweep_<stem>.svg``
+    titled ``sweep: <label>``, where the stem is the label with ``:``,
+    ``,`` and ``.`` written as ``_``, ``-`` and ``p`` (``hoa:9,1`` gives
+    ``sweep_hoa_9-1.svg``).  Returns the rows.
+    """
     rows = compute_rows(config)
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_rows_csv(rows, out_dir / "sweep.csv")
     if config.output_format == "svg+csv":
-        render_sweep_svgs(rows, out_dir, "sweep")
+        by_label: dict[str, list[SweepRow]] = {}
+        for label, row in _labelled(rows):
+            by_label.setdefault(label, []).append(row)
+        for label in sorted(by_label):
+            stem = label.replace(":", "_").replace(",", "-").replace(".", "p")
+            (out_dir / f"sweep_{stem}.svg").write_text(_chart(by_label[label], f"sweep: {label}"))
     return rows
 
 
 # --- reference figure reproduction -------------------------------------------
 
-def _panel_config(name, total, q_list, witnesses, engine, out_dir):
+def _panel_config(name, total, q_list, witnesses, engine):
     return name, SweepConfig(
         state_family="ngbs",
         total=total,
@@ -592,35 +584,36 @@ def _panel_config(name, total, q_list, witnesses, engine, out_dir):
         p_grid=STANDARD_P_GRID,
         witnesses=tuple(witnesses),
         engines=(engine,),
-        output_path=Path(out_dir),
+        output_path=Path(),
         output_format="csv",
     )
 
 
-def figure_panels(out_dir: Path):
+def figure_panels():
     """The named sweep presets behind ``reproduce_figures``.
 
     Antibunching panels (fig2*) are engine-agnostic and use the oracle;
     squeezing and inseparability panels (fig3*..fig5*) use the literal
     engine, whose number-changing single-mode moments they need to show
     any structure at all.  The fig4 q value and the antibunching order set
-    {(2,2), (5,1), (9,1)} are documented artifact choices.
+    {(2,2), (5,1), (9,1)} are documented artifact choices.  No config's
+    output path is read: ``reproduce_figures`` writes to its own directory.
     """
     hoa_set = [Witness("hoa", l=l, m=m) for l, m in HOA_ORDER_SET]
     quad = [Witness("quadx"), Witness("quady")]
     thetas = [Witness("sum", theta=t) for t in DEFAULT_THETAS]
     sv_w = [Witness("sv")]
     return [
-        _panel_config("fig2a", 10, [-0.01], hoa_set, Engine.ORACLE, out_dir),
-        _panel_config("fig2b", 10, [-0.005], hoa_set, Engine.ORACLE, out_dir),
-        _panel_config("fig2c", 20, [-0.01], hoa_set, Engine.ORACLE, out_dir),
-        _panel_config("fig2d", 20, [-0.005], hoa_set, Engine.ORACLE, out_dir),
-        _panel_config("fig3a", 10, [0.01, 0.0, -0.01], quad, Engine.LITERAL, out_dir),
-        _panel_config("fig3b", 20, [0.01, 0.0, -0.01], quad, Engine.LITERAL, out_dir),
-        _panel_config("fig4a", 10, [-0.01], thetas, Engine.LITERAL, out_dir),
-        _panel_config("fig4b", 20, [-0.01], thetas, Engine.LITERAL, out_dir),
-        _panel_config("fig5a", 10, [0.01, -0.01, 0.0, 0.1], sv_w, Engine.LITERAL, out_dir),
-        _panel_config("fig5b", 20, [-0.005, 0.0, 0.1], sv_w, Engine.LITERAL, out_dir),
+        _panel_config("fig2a", 10, [-0.01], hoa_set, Engine.ORACLE),
+        _panel_config("fig2b", 10, [-0.005], hoa_set, Engine.ORACLE),
+        _panel_config("fig2c", 20, [-0.01], hoa_set, Engine.ORACLE),
+        _panel_config("fig2d", 20, [-0.005], hoa_set, Engine.ORACLE),
+        _panel_config("fig3a", 10, [0.01, 0.0, -0.01], quad, Engine.LITERAL),
+        _panel_config("fig3b", 20, [0.01, 0.0, -0.01], quad, Engine.LITERAL),
+        _panel_config("fig4a", 10, [-0.01], thetas, Engine.LITERAL),
+        _panel_config("fig4b", 20, [-0.01], thetas, Engine.LITERAL),
+        _panel_config("fig5a", 10, [0.01, -0.01, 0.0, 0.1], sv_w, Engine.LITERAL),
+        _panel_config("fig5b", 20, [-0.005, 0.0, 0.1], sv_w, Engine.LITERAL),
     ]
 
 
@@ -651,7 +644,7 @@ def _panel_slices(name: str, config: SweepConfig):
     distinct (M, q, moment orders, p grid).
     """
     orders = _panel_moment_orders(name, config)
-    p_values = tuple(config.p_values().tolist())
+    p_values = config.p_values()
     # repr: the tails tell -0.0 from 0.0, which the grid key does not
     return [((config.total, repr(q), repr(config.p_grid), orders),
              (config.state_family, config.total, q, p_values), orders)
@@ -710,7 +703,9 @@ DISCREPANCY_HEADER = (
 def reproduce_figures(out_dir: Path) -> dict[str, int]:
     """Write one CSV + SVG pair per reference figure panel plus the
     engine-discrepancy report; byte-deterministic across runs.  Returns
-    the number of rows of each panel's CSV, by panel name.
+    the number of rows of each panel's CSV, by panel name.  A panel's chart,
+    ``<name>.svg`` titled with its name, is drawn as a sweep's charts are,
+    with one curve over p per (witness label, q, engine).
 
     The panels are written one at a time: a panel's rows are released once
     its CSV and SVG are written, and then its lines of the report, which
@@ -727,7 +722,7 @@ def reproduce_figures(out_dir: Path) -> dict[str, int]:
     # the panels and the report lines that read its slice
     cache: dict = {}
     panels = [(name, config, _panel_slices(name, config))
-              for name, config in figure_panels(out_dir)]
+              for name, config in figure_panels()]
     # each tails key and grid key -> the index of the last panel reading it;
     # the two never collide: a tails key starts with M, a grid key with the family
     last = {key: index for index, (_, _, slices) in enumerate(panels)
@@ -740,13 +735,7 @@ def reproduce_figures(out_dir: Path) -> dict[str, int]:
             rows = _compute_rows(config, cache)
             counts[name] = len(rows)
             write_rows_csv(rows, out_dir / f"{name}.csv")
-            chart = render_line_chart(
-                _curves(rows),
-                title=name,
-                x_label="p",
-                y_label="witness value",
-            )
-            (out_dir / f"{name}.svg").write_text(chart)
+            (out_dir / f"{name}.svg").write_text(_chart(rows, name))
             del rows  # released before the panel's report lines
             head = name + ","
             for key, grid, orders in slices:

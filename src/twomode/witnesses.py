@@ -97,11 +97,21 @@ class Witness:
         missing = [field for field in takes if getattr(self, field) is None]
         if missing:
             raise ValueError(f"{self.kind} requires {' and '.join(missing)}")
-        if self.l is not None and not (self.l >= self.m >= 1):
-            raise ValueError(f"{self.kind} requires l >= m >= 1, got l={self.l}, m={self.m}")
         # the reduction takes cos(2 theta), which fails on an infinite argument
         if self.theta is not None and not math.isfinite(2 * self.theta):
             raise ValueError(f"theta must be finite, and so must 2*theta, got {self.theta!r}")
+        # each parameter is kept as its parser's value, which the label names
+        # and the reduction takes (hoa l=2.0 as 2); a value the parser
+        # changes (hoa l=2.5 to 2) is not that value
+        for field, parser in _KINDS[self.kind].params:
+            value = getattr(self, field)
+            parsed = parser(value)
+            if parsed != value:
+                raise ValueError(f"{self.kind} takes {field} as {parser.__name__}, "
+                                 f"got {field}={value!r}")
+            object.__setattr__(self, field, parsed)
+        if self.l is not None and not (self.l >= self.m >= 1):
+            raise ValueError(f"{self.kind} requires l >= m >= 1, got l={self.l}, m={self.m}")
         if self.form is not None and self.form not in EPR_FORMS:
             raise ValueError(f"{self.kind} form must be one of {EPR_FORMS}, got {self.form!r}")
         # keyed and hashed once: witnesses key the sweeps' per-slice results.
@@ -128,8 +138,7 @@ class Witness:
 
     def label(self) -> str:
         """The witness's token, ``kind`` or ``kind:param,...``; it parses back to it."""
-        values = ",".join(str(parser(getattr(self, field)))
-                          for field, parser in _KINDS[self.kind].params)
+        values = ",".join(str(getattr(self, field)) for field, _ in _KINDS[self.kind].params)
         return f"{self.kind}:{values}" if values else self.kind
 
     @classmethod
@@ -351,8 +360,9 @@ class _Kind(NamedTuple):
     ``moments``: the moments its reduction takes, in order, or for ``hoa``
     the function of (l, m) that gives them.  ``reduction``: the function of
     the witness and those moments' values.  ``params``: a (field, parser)
-    pair per parameter, in token order.  ``bare``: the parameter rows a bare
-    token stands for.
+    pair per parameter, in token order; :class:`Witness` keeps each
+    parameter as its parser's value, and rejects one the parser changes.
+    ``bare``: the parameter rows a bare token stands for.
     """
 
     moments: tuple | Callable

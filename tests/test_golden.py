@@ -18,7 +18,13 @@ is the only gate on the ``epr``, ``su11`` and ``cs`` witnesses and on
 The benchmark's comparison reads ``-0.0`` and ``0.0`` as equal, but their
 bytes differ, and the sign of a zero decides what ``min()`` keeps in
 ``table1``.  So the figure CSVs and the sweep must also match the reference
-as text in every value cell that reads zero on either side."""
+as text in every value cell that reads zero on either side.
+
+``golden/svg_charts.json`` gates the charts, which no other golden reads:
+for each of the ten figure SVGs and each SVG of ``CHART_SWEEP``, the title
+and, per curve in legend order, its label and the point count of its
+polyline (0 for a curve drawn in the legend only).  Neither moves with the
+last bit of a value, so the gate holds on any numpy."""
 
 import csv
 import gzip
@@ -117,3 +123,43 @@ def test_zero_cells_must_match_in_sign():
         assert check.compare_csv_text(flipped, reference, "flipped") == 0.0
         with pytest.raises(AssertionError):
             assert_zero_cells_match(flipped, reference, "flipped")
+
+
+# every witness under both engines, with a q = -0.0, 0.0 pair, and q = -0.01,
+# which has invalid points at M = 10
+CHART_SWEEP = [
+    "sweep", "--state", "ngbs", "--M", "10", "--q=-0.01,-0.0,0.0,0.1", "--p", "0.05:0.95:19",
+    "--witness", "hoa:2,2 hoa:9,1 quadx quady sum sv epr epr:variance su11 cs",
+    "--engine", "both", "--format", "svg+csv",
+]
+
+
+def chart_summary(svg: str) -> dict:
+    """The title of a chart from ``svgplot.render_line_chart``, and
+    ``[label, points]`` per curve: each legend label, in order, with the
+    point count of the polyline drawn before it (0 when there is none)."""
+    title, curves, points = None, [], 0
+    for line in svg.splitlines():
+        if line.startswith("<polyline"):
+            points = len(line.split('"')[1].split())
+        elif line.startswith("<text") and "text-anchor" not in line:
+            curves.append([line.rpartition('">')[2].removesuffix("</text>"), points])
+            points = 0
+        elif 'font-size="14"' in line:
+            title = line.rpartition('">')[2].removesuffix("</text>")
+    return {"title": title, "curves": curves}
+
+
+def chart_summaries(out):
+    """:func:`chart_summary` of the figure SVGs and of ``CHART_SWEEP``'s SVGs,
+    each by file name, with the runs' outputs under ``out``."""
+    reproduce_figures(out / "figures")
+    assert main([*CHART_SWEEP, "--out", str(out / "sweep")]) == 0
+    return {run: {path.name: chart_summary(path.read_text())
+                  for path in sorted((out / run).glob("*.svg"))}
+            for run in ("figures", "sweep")}
+
+
+def test_charts_match_golden(tmp_path):
+    golden = json.loads((GOLDEN / "svg_charts.json").read_text())
+    assert chart_summaries(tmp_path) == golden

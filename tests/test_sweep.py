@@ -778,7 +778,7 @@ def test_figures_build_each_state_and_moment_once(monkeypatch, tmp_path):
     # what the panels' witnesses and the report's engine comparison need
     grid_points = set()
     needed = set()
-    for name, config in figure_panels(tmp_path):
+    for name, config in figure_panels():
         (engine,) = config.engines
         panel_engine = "moment_oracle" if engine is Engine.ORACLE else "literal_moment"
         orders = _panel_moment_orders(name, config)
@@ -873,7 +873,7 @@ def test_figures_compare_and_reduce_once_per_distinct_slice(monkeypatch, tmp_pat
 
     compared = set()  # (M, q, mode specs)
     reduced = {}  # (M, q, witness, engine) -> valid points of the slice
-    for name, config in figure_panels(tmp_path):
+    for name, config in figure_panels():
         orders = _panel_moment_orders(name, config)
         (engine,) = config.engines
         for q in config.q_list:
@@ -898,10 +898,10 @@ def test_figures_compare_and_reduce_once_per_distinct_slice(monkeypatch, tmp_pat
 def test_figures_drop_each_grid_slice_after_its_last_panel(monkeypatch, tmp_path):
     import twomode.sweep as sweep
 
-    panels = figure_panels(tmp_path)
+    panels = figure_panels()
     names = [name for name, _ in panels]
     # the run cache's keys of the slices each panel computes and reports
-    named = [{("ngbs", config.total, q, tuple(config.p_values().tolist()))
+    named = [{("ngbs", config.total, q, config.p_values())
               for q in config.q_list} for _, config in panels]
     builds = Counter()
     caches = []  # the run's cache, as the panels' rows read it
@@ -1063,6 +1063,9 @@ def test_cli_sweep_rejects_nonfinite_theta_before_any_work(tmp_path, capsys, the
     (["--q", "nan,0.01,nan"], "repeated q: nan"),
     (["--p", "0.1:inf:3"], "p grid needs a finite start and end, got 0.1..inf"),
     (["--p", "nan:0.9:3"], "p grid needs a finite start and end, got nan..0.9"),
+    # a value that starts "-inf" or "-nan" is a value, not an option string
+    (["--p", "-inf:0.9:3"], "p grid needs a finite start and end, got -inf..0.9"),
+    (["--p", "-NaN:0.9:3"], "p grid needs a finite start and end, got nan..0.9"),
 ])
 def test_cli_sweep_rejects_repeats_and_nonfinite_p_before_any_work(tmp_path, capsys, flags,
                                                                     message):
@@ -1079,6 +1082,24 @@ def test_cli_sweep_rejects_repeats_and_nonfinite_p_before_any_work(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_sweep_reads_state_engine_and_format_in_any_case(tmp_path):
+    flags = ["sweep", "--M", "4", "--q", "0", "--p", "0.2:0.8:3", "--witness", "sv"]
+    assert main([*flags, "--state", "ngbs", "--engine", "both", "--format", "svg+csv",
+                 "--out", str(tmp_path / "lower")]) == 0
+    assert main([*flags, "--state", "NGBS", "--engine", "Both", "--format", "SVG+CSV",
+                 "--out", str(tmp_path / "upper")]) == 0
+    assert sorted(path.name for path in (tmp_path / "upper").iterdir()) == [
+        "sweep.csv", "sweep_sv.svg"]
+    for name in ("sweep.csv", "sweep_sv.svg"):
+        assert (tmp_path / "upper" / name).read_bytes() == (
+            tmp_path / "lower" / name).read_bytes()
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"state = ngbs\nM = 4\nq = 0\np = 0.2:0.8:3\nwitnesses = sv\n"
+                   f"format = CSV\nout = {tmp_path / 'cfg'}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert (tmp_path / "cfg" / "sweep.csv").exists()
+
+
 def test_cli_sweep_names_missing_flags_before_any_work(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", "--state", "ngbs", "--out", str(out)]) == 1
@@ -1088,12 +1109,13 @@ def test_cli_sweep_names_missing_flags_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("q", ["nan", "inf"])
+@pytest.mark.parametrize("q", ["nan", "inf", "-nan", "-Inf"])
 def test_cli_sweep_nonfinite_q_gives_invalid_params_rows(tmp_path, q):
     # NaN passes every range comparison, and q = inf would build the
-    # product state |0, M> as if it were a member of the family
+    # product state |0, M> as if it were a member of the family; a --q
+    # value that starts "-nan" or "-inf" is a value, not an option string
     out = tmp_path / "out"
-    assert main(["sweep", "--state", "ngbs", "--M", "10", "--q", f"0.01,{q}",
+    assert main(["sweep", "--state", "ngbs", "--M", "10", "--q", f"{q},0.01",
                  "--p", "0.1:0.9:3", "--witness", "sv", "--witness", "hoa:2,1",
                  "--engine", "both", "--out", str(out)]) == 0
     rows = read_csv(out / "sweep.csv")

@@ -401,6 +401,27 @@ def test_witness_rejects_a_parameter_of_another_kind(kind, field, value):
         Witness(kind, **{**required.get(kind, {}), field: value})
 
 
+@pytest.mark.parametrize("kind, params, field", [
+    ("hoa", {"l": 2.5, "m": 1}, "l"), ("hoa", {"l": 3, "m": 1.5}, "m"),
+    ("epr", {"form": 1}, "form"),
+])
+def test_witness_rejects_a_parameter_its_parser_changes(kind, params, field):
+    # hoa l=2.5 would label hoa:2,1 and fail inside the series
+    with pytest.raises(ValueError, match=f"{kind} takes {field} as "):
+        Witness(kind, **params)
+
+
+def test_witness_keeps_each_parameter_as_its_parser_value():
+    state = ngbs(NGBSParams(6, 0.5, 0.0))
+    for given, parsed in ((Witness("hoa", l=2.0, m=np.int64(1)), Witness("hoa", l=2, m=1)),
+                          (Witness("sum", theta=np.float64(0.5)), Witness("sum", theta=0.5)),
+                          (Witness("sum", theta=1), Witness("sum", theta=1.0))):
+        assert given == parsed
+        assert [type(getattr(given, field)) for field in ("l", "m", "theta")] == [
+            type(getattr(parsed, field)) for field in ("l", "m", "theta")]
+        assert evaluate(state, given) == evaluate(state, parsed)
+
+
 def test_evaluate_dispatch_matches_direct_calls():
     # the dispatch through the kind table against each kind's formula written
     # out directly (_reference), under the default engine of a fixed-total state
