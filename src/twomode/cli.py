@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
     p_tab.set_defaults(run=_cmd_table1)
 
     p_cmp = sub.add_parser("compare", help="compare moment engines on one state")
-    p_cmp.add_argument("--state", default="ngbs", help="ngbs|binomial|fock")
+    p_cmp.add_argument("--state", type=str.lower, default="ngbs", help="ngbs|binomial|fock")
     p_cmp.add_argument("--M", dest="total", type=int, required=True)
     p_cmp.add_argument("--p", type=float, required=True)
     p_cmp.add_argument("--q", type=float, default=0.0)

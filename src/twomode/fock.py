@@ -29,12 +29,14 @@ i alone.  A single fixed-total state goes through the same code as a
 one-row batch.  The support of the whole stack is scaled by the cached
 ladder weights at once (a complex value times a real weight rounds the same
 in any numpy loop; the per-row rule in :mod:`twomode.moments` lists which
-operations do not), then each row is scattered into one reused ``(M+1,
-M+1)`` grid per side and reduced by the grid ``np.vdot``: only one grid per
-side is ever allocated, not one per row.  A number-changing spec gives
-zeros without any grid: by the total-photon selection rule the two images
-lie on different anti-diagonals, and the ``np.vdot`` would add only exact
-zeros to accumulators that start at +0.
+operations do not), then each row is put into one reused ``(M+1, M+1)``
+image per distinct side and reduced by the grid ``np.vdot``: only one image
+per side is ever allocated, not one per row.  Each image is filled through
+one flat cell index, and the two images of a conserving spec share it:
+both lie on the same anti-diagonal.  A number-changing spec gives zeros
+without any image: by the total-photon selection rule the two images lie
+on different anti-diagonals, and the ``np.vdot`` would add only exact zeros
+to accumulators that start at +0.
 """
 
 import functools
@@ -93,12 +95,11 @@ class TwoModeState:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = np.array(self.amps, dtype=complex)
         if amps.ndim != 2:
             raise ValueError(f"amplitude grid must be 2-d, got shape {amps.shape}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitude grid contains non-finite entries")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
@@ -128,7 +129,7 @@ class FixedTotalState:
     def __post_init__(self):
         if self.total < 0:
             raise ValueError("total photon number must be non-negative")
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (self.total + 1,):
             raise ValueError(
                 f"expected {self.total + 1} amplitudes, got shape {amps.shape}"
@@ -138,7 +139,6 @@ class FixedTotalState:
         nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"state not normalized: |c| = {nrm!r}")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -203,19 +203,24 @@ def _ladder_plan(total: int, mode1: int, mode2: int):
     ``a1^mode1 a2^mode2`` on the fixed-total basis; shared by every state of
     that M.  ``np.sqrt`` is correctly rounded, so these are the weights a
     single ladder operator of the test reference chain applies.
+
+    ``cells`` holds the flat index of cell ``(n - mode1, M - n - mode2)`` in
+    the ``(M+1, M+1)`` image.  It depends on ``mode1 + mode2`` alone, so the
+    bra and ket of a number-conserving spec (j + r = k + s) fill the same
+    cells.
     """
     n = np.arange(mode1, total - mode2 + 1)
-    cells = (n, n - mode1, total - n - mode2)
+    cells = (n - mode1) * total + (total - mode1 - mode2)
     steps = tuple(np.sqrt((n - t).astype(float)) for t in range(mode1))
     steps += tuple(np.sqrt((total - n - t).astype(float)) for t in range(mode2))
-    for array in cells + steps:
+    for array in (n, cells) + steps:
         array.flags.writeable = False
-    return cells, steps
+    return n, cells, steps
 
 
 def _lowered_support(amplitudes: np.ndarray, total: int, mode1: int, mode2: int):
     """The support values of ``a1^mode1 a2^mode2`` on fixed-total amplitudes,
-    scaled along the last axis, and the grid cells they go to.
+    scaled along the last axis, and the flat image cells they go to.
 
     The amplitudes are scaled one ladder step at a time by ``sqrt(n)``, all
     mode-1 steps before the mode-2 steps, which is the product sequence of
@@ -223,11 +228,11 @@ def _lowered_support(amplitudes: np.ndarray, total: int, mode1: int, mode2: int)
     times a real weight rounds the same in any numpy loop, so each entry is
     the same float for a ``(P, M+1)`` stack as for one state.
     """
-    (n, rows, cols), steps = _ladder_plan(total, mode1, mode2)
+    n, cells, steps = _ladder_plan(total, mode1, mode2)
     vals = amplitudes[..., n]
     for weights in steps:
         vals = vals * weights
-    return vals, rows, cols
+    return vals, cells
 
 
 def _lowered_grid(state: TwoModeState, mode1: int, mode2: int) -> np.ndarray:
@@ -254,18 +259,15 @@ def _batch_oracle(batch: MomentBatch, spec: MomentSpec) -> np.ndarray:
     if not spec.conserving:
         return values
     m = batch.total
-    sides = [(spec.j, spec.r)]
-    if (spec.k, spec.s) != (spec.j, spec.r):
-        sides.append((spec.k, spec.s))
-    images = []
-    for mode1, mode2 in sides:
-        vals, rows, cols = _lowered_support(batch.amplitudes, m, mode1, mode2)
-        images.append((np.zeros((m + 1, m + 1), dtype=complex), rows, cols, vals))
+    # bra side first; a diagonal spec has one side and one image
+    images = [(np.zeros((m + 1, m + 1), dtype=complex),
+               *_lowered_support(batch.amplitudes, m, mode1, mode2))
+              for mode1, mode2 in dict.fromkeys([(spec.j, spec.r), (spec.k, spec.s)])]
     bra, ket = images[0][0], images[-1][0]
     for row in range(len(values)):
-        # every row fills the same cells, so the rest of each grid stays zero
-        for grid, rows, cols, vals in images:
-            grid[rows, cols] = vals[row]
+        # every row fills the same cells, so the rest of each image stays zero
+        for image, vals, cells in images:
+            image.put(cells, vals[row])
         values[row] = np.vdot(bra, ket)
     return values
 

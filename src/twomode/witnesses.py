@@ -97,19 +97,20 @@ class Witness:
         missing = [field for field in takes if getattr(self, field) is None]
         if missing:
             raise ValueError(f"{self.kind} requires {' and '.join(missing)}")
-        # the reduction takes cos(2 theta), which fails on an infinite argument
-        if self.theta is not None and not math.isfinite(2 * self.theta):
-            raise ValueError(f"theta must be finite, and so must 2*theta, got {self.theta!r}")
         # each parameter is kept as its parser's value, which the label names
         # and the reduction takes (hoa l=2.0 as 2); a value the parser
-        # changes (hoa l=2.5 to 2) is not that value
+        # changes (hoa l=2.5 to 2, theta '0.5' to 0.5) is not that value.  A
+        # NaN is unequal to itself, and is left to the finiteness check
         for field, parser in _KINDS[self.kind].params:
             value = getattr(self, field)
             parsed = parser(value)
-            if parsed != value:
+            if parsed != value and value == value:
                 raise ValueError(f"{self.kind} takes {field} as {parser.__name__}, "
                                  f"got {field}={value!r}")
             object.__setattr__(self, field, parsed)
+        # the reduction takes cos(2 theta), which fails on an infinite argument
+        if self.theta is not None and not math.isfinite(2 * self.theta):
+            raise ValueError(f"theta must be finite, and so must 2*theta, got {self.theta!r}")
         if self.l is not None and not (self.l >= self.m >= 1):
             raise ValueError(f"{self.kind} requires l >= m >= 1, got l={self.l}, m={self.m}")
         if self.form is not None and self.form not in EPR_FORMS:

@@ -3,7 +3,8 @@ standard library only.
 
 At a binary-float p and q every squared ``ngbs`` coefficient is a rational
 number, which :class:`fractions.Fraction` holds exactly, and so is every
-number-conserving single-mode moment, a sum of those squares times integers.
+diagonal moment ``<a1^dag^a a1^a a2^dag^b a2^b>``, a sum of those squares
+times integers.
 """
 
 from fractions import Fraction
@@ -25,14 +26,21 @@ def ngbs_probabilities(total: int, p: float, q: float) -> list:
     ]
 
 
+def mixed_diagonal_moment(probabilities: list, a: int, b: int):
+    """The exact ``<a1^dag^a a1^a a2^dag^b a2^b>`` of the fixed-total state
+    whose photon-number distribution is ``probabilities``.
+
+    Mode 1 holds n photons and mode 2 holds M - n with probability P(n), so
+    the moment is sum_n P(n) n!/(n-a)! (M-n)!/(M-n-b)!, where a falling
+    factorial of fewer photons than its order is 0.
+    """
+    total = len(probabilities) - 1
+    return sum(share * perm(n, a) * perm(total - n, b) for n, share in enumerate(probabilities))
+
+
 def factorial_moments(probabilities: list, k: int) -> tuple:
     """The exact ``<a1^dag^k a1^k>`` and ``<a2^dag^k a2^k>`` of the
     fixed-total state whose photon-number distribution is ``probabilities``.
-
-    Mode 1 holds n photons and mode 2 holds M - n with probability P(n), so
-    the two moments are sum_n P(n) n!/(n-k)! and sum_n P(n) (M-n)!/(M-n-k)!,
-    where a falling factorial of fewer than k photons is 0.
     """
-    total = len(probabilities) - 1
-    return (sum(share * perm(n, k) for n, share in enumerate(probabilities)),
-            sum(share * perm(total - n, k) for n, share in enumerate(probabilities)))
+    return (mixed_diagonal_moment(probabilities, k, 0),
+            mixed_diagonal_moment(probabilities, 0, k))

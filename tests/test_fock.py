@@ -246,6 +246,30 @@ def test_batch_oracle_rows_equal_states_on_complex_stacks(total, rows, seed):
     _assert_batch_rows_equal_states(states)
 
 
+def test_ladder_plan_cells_are_the_flat_cells_the_reference_fills():
+    # the cells of a1^mode1 a2^mode2 on |n>|M-n> are the nonzero cells of the
+    # reference chain's image, row * (M+1) + col; the bra and ket of a
+    # conserving spec lower the same photon count and fill the same cells
+    exponents = range(5)
+    for total in range(31):
+        grid = np.zeros((total + 1, total + 1))
+        grid[np.arange(total + 1), total - np.arange(total + 1)] = 1.0
+        plans = {}
+        for mode1, mode2 in itertools.product(exponents, repeat=2):
+            image = TwoModeState(grid)
+            for mode, count in ((1, mode1), (2, mode2)):
+                for _ in range(count):
+                    image = apply_ladder(image, mode, "annihilate")
+            rows, cols = np.nonzero(image.amps)
+            n, cells, _ = fock._ladder_plan(total, mode1, mode2)
+            assert cells.tolist() == (rows * (total + 1) + cols).tolist(), (total, mode1, mode2)
+            assert n.tolist() == (rows + mode1).tolist()
+            plans[mode1, mode2] = cells.tolist()
+        for (j, r), (k, s) in itertools.product(plans, repeat=2):
+            if j + r == k + s:
+                assert plans[j, r] == plans[k, s], (total, j, k, r, s)
+
+
 def test_selection_rule_randomized(rng):
     # number-changing moments vanish identically on fixed-total states
     for _ in range(200):

@@ -1,4 +1,7 @@
+import decimal
+import functools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +22,10 @@ from twomode import (
     ngbs,
 )
 from twomode.sweep import STANDARD_Q
-from twomode.witnesses import DEFAULT_THETAS, Witness
+from twomode.witnesses import DEFAULT_THETAS, STRICT_ZERO, Witness, evaluate
 
 from conftest import assert_column_rows, is_valid, random_fixed_total, signed_zero_states
-from exact import factorial_moments, ngbs_probabilities
+from exact import factorial_moments, mixed_diagonal_moment, ngbs_probabilities
 
 
 def one_photon_mode1():
@@ -351,34 +354,82 @@ FACTORIAL_ORDERS = (1, 2, 3, 5, 6, 9, 10)
 CHANGING_ORDERS = ((0, 1), (1, 0), (0, 2), (2, 0), (1, 3), (5, 2))
 
 
-def test_engines_match_the_exact_factorial_moments():
-    # every tenth p of the standard grid at M = 10, 20 and the six standard
-    # q, the sample of the exact P(n) test; measured worst relative error on
-    # <a^dag^k a^k> over this sample: 1.12e-14 literal, 1.30e-14 oracle
-    bound = 4 * Fraction(1.05e-14)
-    checked = 0
+def _exact_sample():
+    """(params, state, exact P(n)) at every tenth p of the standard grid, at
+    M = 10, 20 and the six standard q: the sample of the exact P(n) test,
+    111 valid points."""
     for total in (10, 20):
         for q in STANDARD_Q:
             for p in np.linspace(0.01, 0.99, 99).tolist()[::10]:
                 params = NGBSParams(total, p, q)
-                if not is_valid(params):
-                    continue
-                state = ngbs(params)
-                probabilities = ngbs_probabilities(total, p, q)
-                for k in FACTORIAL_ORDERS:
-                    specs = (MomentSpec(k, k, 0, 0), MomentSpec(0, 0, k, k))
-                    for spec, exact in zip(specs, factorial_moments(probabilities, k)):
-                        for engine in Engine:
-                            value = expectation(state, spec, engine)
-                            assert value.imag == 0.0, (params, spec, engine)
-                            error = abs(Fraction(value.real) - exact)
-                            assert error <= bound * exact, (params, spec, engine)
-                for daggers, lowers in CHANGING_ORDERS:
-                    for spec in (MomentSpec(daggers, lowers, 0, 0),
-                                 MomentSpec(0, 0, daggers, lowers)):
-                        assert moment_oracle(state, spec) == 0, (params, spec)
-                checked += 1
+                if is_valid(params):
+                    yield params, ngbs(params), ngbs_probabilities(total, p, q)
+
+
+def test_engines_match_the_exact_factorial_moments():
+    # measured worst relative error on <a^dag^k a^k> over this sample:
+    # 1.12e-14 literal, 1.30e-14 oracle
+    bound = 4 * Fraction(1.05e-14)
+    checked = 0
+    for params, state, probabilities in _exact_sample():
+        for k in FACTORIAL_ORDERS:
+            specs = (MomentSpec(k, k, 0, 0), MomentSpec(0, 0, k, k))
+            for spec, exact in zip(specs, factorial_moments(probabilities, k)):
+                for engine in Engine:
+                    value = expectation(state, spec, engine)
+                    assert value.imag == 0.0, (params, spec, engine)
+                    error = abs(Fraction(value.real) - exact)
+                    assert error <= bound * exact, (params, spec, engine)
+        for daggers, lowers in CHANGING_ORDERS:
+            for spec in (MomentSpec(daggers, lowers, 0, 0), MomentSpec(0, 0, daggers, lowers)):
+                assert moment_oracle(state, spec) == 0, (params, spec)
+        checked += 1
     assert checked == 111
+
+
+EXACT_HOA_ORDERS = ((1, 1), (2, 2), (5, 1), (9, 1))
+
+
+def _exact_witnesses(probabilities):
+    """(witness, exact value, exact scale, exactly negative) of each hoa
+    order of ``EXACT_HOA_ORDERS`` and of cs, from the exact P(n).
+
+    A hoa value is an exact rational.  The cs root is a 50-digit decimal,
+    and the sign of cs is the exact test A*B < C^2."""
+    moment = functools.partial(mixed_diagonal_moment, probabilities)
+    cases = []
+    for l, m in EXACT_HOA_ORDERS:
+        ratio = (moment(l + 1, m - 1) + moment(m - 1, l + 1)) / (moment(l, m) + moment(m, l))
+        cases.append((Witness("hoa", l=l, m=m), ratio - 1, abs(ratio) + 1, ratio < 1))
+    autos, cross = moment(2, 0) * moment(0, 2), moment(1, 1)
+    with decimal.localcontext() as context:
+        context.prec = 50
+        geo = Fraction((Decimal(autos.numerator) / autos.denominator).sqrt())
+    cases.append((Witness("cs"), geo - cross, geo + cross, autos < cross**2))
+    return cases
+
+
+def test_engines_match_the_exact_hoa_and_cs_values():
+    # measured worst |value - exact| / max(1, scale) over this sample:
+    # 4.12e-15 (hoa:5,1, literal), cs 1.2e-15; the closest flag read lies
+    # 4e-4 * max(1, scale) beyond the guard
+    flags = 0
+    for params, state, probabilities in _exact_sample():
+        cases = _exact_witnesses(probabilities)
+        for engine in Engine:
+            table = {}
+            for witness, exact, scale, negative in cases:
+                result = evaluate(state, witness, engine, table)
+                context = (params, witness.label(), engine)
+                assert result.status == "ok", context
+                error = abs(Fraction(result.value) - exact)
+                assert error <= Fraction(1.05e-14) * max(1, scale), context
+                # the flag reads the sign wherever the value lies beyond the guard
+                if abs(exact) > Fraction(STRICT_ZERO) * max(1, scale):
+                    assert result.nonclassical == negative, context
+                    flags += 1
+    # every point and engine but 40 of the 1,110 lies beyond the guard
+    assert flags == 1070
 
 
 def test_expectation_engine_switch():

@@ -1223,6 +1223,16 @@ def test_cli_compare_takes_every_fixed_total_family(capsys):
     assert [float(v) for v in rows[("1", "0", "1")]] == [0.0, 0.0]
 
 
+def test_cli_compare_reads_the_family_in_any_case(capsys):
+    # as sweep --state does; the header names the family it ran
+    argv = ["compare", "--M", "4", "--p", "0.5", "--state"]
+    assert main([*argv, "ngbs"]) == 0
+    lower = capsys.readouterr()
+    assert main([*argv, "NGBS"]) == 0
+    assert capsys.readouterr() == lower
+    assert lower.out.startswith("state=ngbs M=4 p=0.5")
+
+
 def test_cli_import_loads_neither_logging_nor_json():
     # every module that import twomode.cli loads is paid at each start of
     # the program; logging and json, when used, are to be imported lazily

@@ -403,12 +403,19 @@ def test_witness_rejects_a_parameter_of_another_kind(kind, field, value):
 
 @pytest.mark.parametrize("kind, params, field", [
     ("hoa", {"l": 2.5, "m": 1}, "l"), ("hoa", {"l": 3, "m": 1.5}, "m"),
-    ("epr", {"form": 1}, "form"),
+    ("epr", {"form": 1}, "form"), ("sum", {"theta": "0.5"}, "theta"),
 ])
 def test_witness_rejects_a_parameter_its_parser_changes(kind, params, field):
     # hoa l=2.5 would label hoa:2,1 and fail inside the series
     with pytest.raises(ValueError, match=f"{kind} takes {field} as "):
         Witness(kind, **params)
+
+
+@pytest.mark.parametrize("theta", [math.nan, np.float64(math.nan), 1e308])
+def test_witness_rejects_a_nonfinite_theta_or_double_theta(theta):
+    # NaN != NaN: a NaN is not read as a value its parser changes
+    with pytest.raises(ValueError, match="theta must be finite, and so must 2[*]theta"):
+        Witness("sum", theta=theta)
 
 
 def test_witness_keeps_each_parameter_as_its_parser_value():
