@@ -1,34 +1,18 @@
 #!/usr/bin/env python3
-"""Print the nonclassicality classification table over the standard grid,
-optionally restricted in q or M.  Equivalent to `twomode table1`."""
+"""Print the nonclassicality classification table with each row's minimum
+witness value and caveat.  Reads the flags of `twomode table1` with its parser."""
 
-import argparse
 import sys
 
-from twomode.sweep import (
-    STANDARD_M,
-    STANDARD_Q,
-    ConfigError,
-    format_table1,
-    parse_list,
-    table1_report,
-)
+from twomode.cli import _build_parser
+from twomode.sweep import ConfigError, format_table1, table1_report
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--q", default=None, help="comma-separated q values")
-    parser.add_argument("--M", dest="totals", default=None,
-                        help="comma-separated total photon numbers")
-    args = parser.parse_args(argv)
-    q_values = STANDARD_Q
-    m_values = STANDARD_M
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        if args.q is not None:
-            q_values = parse_list(args.q)
-        if args.totals is not None:
-            m_values = parse_list(args.totals, int, "M list")
-        rows = table1_report(m_values=m_values, q_values=q_values)
+        args = _build_parser().parse_args(["table1", *argv])
+        rows = table1_report(m_values=args.totals, q_values=args.q)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

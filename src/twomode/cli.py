@@ -165,10 +165,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        status = args.run(args)
+        # flush here, not at exit, so that a closed stdout is caught below
+        sys.stdout.flush()
+        return status
     except (ConfigError, InvalidParams, NormalizationAnomaly, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader went away: nothing to report to it, and the interpreter's
+        # own flush at exit must not fail again on the buffered rest
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -1251,6 +1251,42 @@ def test_cli_import_loads_neither_logging_nor_json():
     assert done.stdout == "[]\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # table1's output fits the buffer and fails at the last flush;
+        # compare's does not and fails while it runs
+        ["table1", "--q", "0.1", "--M", "10"],
+        ["compare", "--M", "20", "--p", "0.5", "--max-order", "10"],
+    ],
+)
+def test_cli_closed_stdout_exits_2_without_a_message(argv):
+    # the read end is closed before the run, so every write fails with EPIPE;
+    # PYTHONUNBUFFERED is removed, since with it table1 too would fail while
+    # it runs and the last-flush case would go untested
+    import os
+    import subprocess
+    import sys
+
+    import twomode
+
+    src = str(Path(twomode.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "twomode", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert "i/o error" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+    if argv[0] == "table1":
+        assert done.stderr.startswith("note: Cauchy-Schwarz inequality: ")
+
+
 @pytest.mark.parametrize("family", ["coherent", "squeezed"])
 def test_cli_compare_names_the_fixed_total_families(capsys, family):
     assert main(["compare", "--state", family, "--M", "4", "--p", "0.5"]) == 1
@@ -1288,6 +1324,7 @@ SUMMARY_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "summary_t
         (["--q", "abc"], "error: cannot parse q list 'abc'"),
         (["--M", "ten"], "error: cannot parse M list 'ten'"),
         (["--q", "-0.5", "--M", "10"], "error: no valid grid point"),
+        (["--x", "1"], "error: unrecognized arguments: --x 1"),
     ],
 )
 def test_summary_script_reports_config_errors(capsys, argv, message):
@@ -1302,4 +1339,20 @@ def test_summary_script_prints_the_table1_table(capsys):
     assert main(["table1", "--q", "0.01", "--M", "10"]) == 0
     table = capsys.readouterr().out
     assert runpy.run_path(str(SUMMARY_SCRIPT))["main"](["--q", "0.01", "--M", "10"]) == 0
+    assert capsys.readouterr().out.startswith(table + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--q", "-0.01,0.01", "--M", "10"],
+        ["--q", "-0.005", "--M", "20"],
+        ["--q=-0.01,0.01", "--M", "10"],
+    ],
+)
+def test_summary_script_reads_the_table1_command_line(capsys, argv):
+    # the first is README's example; a negative q must read as a value
+    assert main(["table1", *argv]) == 0
+    table = capsys.readouterr().out
+    assert runpy.run_path(str(SUMMARY_SCRIPT))["main"](argv) == 0
     assert capsys.readouterr().out.startswith(table + "\n")
