@@ -161,11 +161,11 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def _guarded(run) -> int:
+    """Call ``run()`` and flush stdout; its status, or the exit code of the
+    error it raised (see the module docstring)."""
     try:
-        args = parser.parse_args(argv)
-        status = args.run(args)
+        status = run()
         # flush here, not at exit, so that a closed stdout is caught below
         sys.stdout.flush()
         return status
@@ -181,6 +181,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    def run():
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+
+    return _guarded(run)
 
 
 if __name__ == "__main__":

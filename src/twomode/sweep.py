@@ -322,28 +322,33 @@ def _build_state(family: str, total: int, p: float, q: float):
 class _LiteralSlice:
     """The fixed-total states of one grid slice, their moment columns under
     both engines and their witness results, each computed once for the
-    slice.  The results of a (witness, engine) come from one
+    slice: the moment table of each of its states under every engine.  Its
+    ``result(state, witness, engine)`` answers
+    :func:`~twomode.witnesses.evaluate` for ``state``; the results of a
+    (witness, engine) come from one
     :func:`~twomode.witnesses.reduce_columns` over that engine's columns,
     and a missing column from one ``moments.cached_expectation`` call on a
     :class:`MomentBatch` of the states, which calls
     ``moments.literal_moment`` or ``moments.moment_oracle`` (looked up at
     call time, so that a wrapper sees them).  Results are released once each
-    row has read its own.  ``columns`` maps each engine to its columns by
-    spec, each a ``complex128`` array of shape ``(P,)`` whose row i holds
-    the float and sign of zero that state i gives alone: the ``tables`` that
+    state has read its own.  ``rows`` maps each state (by identity: a
+    :class:`FixedTotalState` does not compare by value) to its batch row.
+    ``columns`` maps each engine to its columns by spec, each a
+    ``complex128`` array of shape ``(P,)`` whose row i holds the float and
+    sign of zero that state i gives alone: the ``tables`` that
     :func:`~twomode.moments.compare_engines` takes with the batch.
     """
 
     def __init__(self, states):
-        self._states = states
+        self.rows = {state: row for row, state in enumerate(states)}
         self.columns = {Engine.LITERAL: {}, Engine.ORACLE: {}}
         self._results = {}  # (witness, engine) -> [results, rows yet to read them]
 
     @functools.cached_property
     def batch(self) -> moments.MomentBatch:
-        return moments.MomentBatch.stack(self._states)
+        return moments.MomentBatch.stack(list(self.rows))
 
-    def result(self, witness: Witness, engine: Engine, row: int):
+    def result(self, state, witness: Witness, engine: Engine):
         key = (witness, engine)
         entry = self._results.get(key)
         if entry is None:
@@ -355,21 +360,7 @@ class _LiteralSlice:
         entry[1] -= 1
         if not entry[1]:
             del self._results[key]
-        return entry[0][row]
-
-
-class _SliceRow(NamedTuple):
-    """The moment table of one fixed-total state, row ``row`` of its slice,
-    under every engine: its ``result`` answers
-    :func:`~twomode.witnesses.evaluate` from the slice's results, reducing
-    the witness for the whole slice on first use.  The slice holds no
-    reference to its rows: no reference cycle."""
-
-    literal_slice: _LiteralSlice
-    row: int
-
-    def result(self, witness: Witness, engine: Engine):
-        return self.literal_slice.result(witness, engine, self.row)
+        return entry[0][self.rows[state]]
 
 
 def _point_state(family: str, total: int, p: float, q: float):
@@ -386,15 +377,16 @@ def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple)
     """The states of one (family, M, q) slice of a p grid and their moment
     tables: one ``(p, state, table)`` per p, where ``state`` is the
     exception of a point that failed to build (see :func:`_point_state`),
-    and ``table`` is the state's moment table, to pass to
+    and ``table`` is the moment table of ``state``, to pass with it to
     :func:`~twomode.witnesses.evaluate` under any engine the slice runs.
 
     For the fixed-total families the points are built once per cache, which
     maps ``(family, M, q, p_values)`` to their list: each state's table is
-    its :class:`_SliceRow` of one :class:`_LiteralSlice` (None for a failed
-    point).  A caller that passes one cache to several sweeps builds each
-    distinct state once and computes each of its moments once per engine:
-    ``reproduce_figures`` does, for its panels and its report.
+    the slice's one :class:`_LiteralSlice`, which answers for each of its
+    states (None for a failed point).  A caller that passes one cache to
+    several sweeps builds each distinct state once and computes each of its
+    moments once per engine: ``reproduce_figures`` does, for its panels and
+    its report.
     :func:`compute_rows` and :func:`table1_report` pass none, and get a new
     cache per q slice from :func:`_evaluations`; each point of the whole p
     grid is built, and so validated, once, with the invalid ones kept as
@@ -413,12 +405,9 @@ def _grid_slice(cache: dict, family: str, total: int, q: float, p_values: tuple)
     points = cache.get(key)
     if points is None:
         states = [_point_state(family, total, p, q) for p in p_values]
-        fixed = [state for state in states if isinstance(state, FixedTotalState)]
-        literal = _LiteralSlice(fixed)
-        rows = iter(range(len(fixed)))
+        literal = _LiteralSlice([s for s in states if isinstance(s, FixedTotalState)])
         points = cache[key] = [
-            (p, state, _SliceRow(literal, next(rows))
-             if isinstance(state, FixedTotalState) else None)
+            (p, state, literal if isinstance(state, FixedTotalState) else None)
             for p, state in zip(p_values, states)
         ]
     return points
@@ -668,8 +657,8 @@ def _slice_tails(cache: dict, grid: tuple, orders) -> str:
             continue
         if isinstance(state, Exception):
             raise state
-        grid_slice = table.literal_slice
-        points.append((f"ngbs,{total},{p!r},{q!r},", table.row))
+        grid_slice = table
+        points.append((f"ngbs,{total},{p!r},{q!r},", table.rows[state]))
     if not points:
         return ""
     cells = []  # (mode and orders, literal, oracle, gap, flag) per moment

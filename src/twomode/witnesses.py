@@ -400,16 +400,16 @@ def evaluate(
     and engine to compute each distinct moment once; never share it between
     states or engines.  Without a table the moments are computed afresh.
     Any object whose ``get(spec)`` returns the value or None serves as a
-    table.  One with a ``result(witness, engine)`` method, a row of a sweep's
-    grid slice, answers with that instead, and serves its state under every
-    engine.
+    table.  One with a ``result(state, witness, engine)`` method, a sweep's
+    grid slice, answers for ``state`` with that instead, and serves each of
+    its states under every engine.
     """
     engine = _resolve_engine(state, engine)
     if table is None:
         table = {}
     result = getattr(table, "result", None)
     if result is not None:
-        return result(witness, engine)
+        return result(state, witness, engine)
     values = [cached_expectation(table, state, spec, engine) for spec in witness.specs]
     value, scale, degenerate = _KINDS[witness.kind].reduction(witness, *values)
     if degenerate:

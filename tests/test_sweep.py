@@ -171,22 +171,26 @@ def test_sweep_slices_hold_array_columns_and_states_without_dicts(tmp_path):
     # the memory layout of a sweep's cache: each moment column of a slice is
     # one complex128 array, under either engine and for every kind of moment
     # (an empty series, a product of series, the oracle's zeros and grids),
-    # and no state or row table carries an instance dict
+    # no state carries an instance dict, and every valid point of a q slice
+    # has that slice as its table, one batch row per valid point
     from twomode.sweep import _compute_rows
 
     witnesses = (Witness("hoa", l=9, m=1), Witness("sv"), Witness("quadx"))
     config = small_config(tmp_path, witnesses=witnesses)
     cache = {}
     _compute_rows(config, cache)
-    slices = {}
+    slices = []
     for points in cache.values():
-        for _, state, table in points:
-            if not isinstance(state, Exception):
-                assert not hasattr(state, "__dict__")
-                assert not hasattr(table, "__dict__")
-                slices[id(table.literal_slice)] = table.literal_slice
+        valid = [(state, table) for _, state, table in points
+                 if not isinstance(state, Exception)]
+        grid_slice = valid[0][1]
+        for state, table in valid:
+            assert not hasattr(state, "__dict__")
+            assert table is grid_slice
+        assert len(grid_slice.rows) == len(valid)
+        slices.append(grid_slice)
     assert len(slices) == len(config.q_list)
-    for grid_slice in slices.values():
+    for grid_slice in slices:
         rows = len(grid_slice.batch.amplitudes)
         for engine in config.engines:
             columns = grid_slice.columns[engine]
@@ -1003,6 +1007,42 @@ def test_cli_sweep_rejects_a_repeated_config_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_sweep_rejects_a_config_line_without_a_key(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("M 4\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected key=value, got 'M 4'\n"
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0.1:0.9", "p grid must look like start:end:steps, got '0.1:0.9'"),
+        ("a:0.9:3", "cannot parse p grid 'a:0.9:3'"),
+    ],
+)
+def test_cli_sweep_rejects_a_malformed_p_grid(tmp_path, capsys, grid, message):
+    out = tmp_path / "out"
+    assert main(["sweep", "--state", "ngbs", "--M", "4", "--q", "0", "--p", grid,
+                 "--witness", "sv", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_sweep_writes_a_fock_point_outside_0_1_as_invalid_params(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", "--state", "fock", "--M", "4", "--q", "0", "--p", "-0.5:0.5:3",
+                 "--witness", "sv", "--out", str(out)]) == 0
+    rows = read_csv(out / "sweep.csv")
+    assert [(row["p"], row["status"]) for row in rows] == [
+        ("-0.5", "invalid_params"), ("0.0", "ok"), ("0.5", "ok")]
+    assert (rows[0]["value"], rows[0]["nonclassical"]) == ("", "")
+
+
 def test_cli_exit_codes(tmp_path):
     # config errors -> 1 (including argparse usage errors)
     assert main(["sweep", "--state", "ngbs", "--M", "6", "--q", "0",
@@ -1251,13 +1291,18 @@ def test_cli_import_loads_neither_logging_nor_json():
     assert done.stdout == "[]\n"
 
 
+SUMMARY_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "summary_table.py"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         # table1's output fits the buffer and fails at the last flush;
-        # compare's does not and fails while it runs
-        ["table1", "--q", "0.1", "--M", "10"],
-        ["compare", "--M", "20", "--p", "0.5", "--max-order", "10"],
+        # compare's does not and fails while it runs; the summary script
+        # fails at its first print
+        ["-m", "twomode", "table1", "--q", "0.1", "--M", "10"],
+        ["-m", "twomode", "compare", "--M", "20", "--p", "0.5", "--max-order", "10"],
+        [str(SUMMARY_SCRIPT), "--M", "10", "--q", "0.1"],
     ],
 )
 def test_cli_closed_stdout_exits_2_without_a_message(argv):
@@ -1276,15 +1321,17 @@ def test_cli_closed_stdout_exits_2_without_a_message(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run([sys.executable, "-m", "twomode", *argv], stdout=write_end,
+        done = subprocess.run([sys.executable, *argv], stdout=write_end,
                               stderr=subprocess.PIPE, env=env, text=True, timeout=120)
     finally:
         os.close(write_end)
     assert done.returncode == 2
     assert "i/o error" not in done.stderr
     assert "Exception ignored" not in done.stderr
-    if argv[0] == "table1":
+    if argv[2:3] == ["table1"]:
         assert done.stderr.startswith("note: Cauchy-Schwarz inequality: ")
+    else:
+        assert done.stderr == ""
 
 
 @pytest.mark.parametrize("family", ["coherent", "squeezed"])
@@ -1314,8 +1361,6 @@ def test_cli_table1_states_cauchy_schwarz_caveat_on_stderr(capsys):
     assert notes[0].startswith("note: Cauchy-Schwarz inequality: ")
     assert "not the paper's Cauchy-Schwarz based entanglement criterion" in notes[0]
 
-
-SUMMARY_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "summary_table.py"
 
 
 @pytest.mark.parametrize(

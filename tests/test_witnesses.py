@@ -22,7 +22,7 @@ from twomode import (
     ngbs,
 )
 from twomode.sweep import (
-    HOA_ORDER_SET, STANDARD_P_GRID, STANDARD_Q, _grid_slice, _LiteralSlice, _SliceRow,
+    HOA_ORDER_SET, STANDARD_P_GRID, STANDARD_Q, _grid_slice, _LiteralSlice,
 )
 from twomode.witnesses import STRICT_ZERO, reduce_columns
 
@@ -340,6 +340,17 @@ def test_witness_parse_rejects_bad_tokens(token):
         Witness.parse(token)
 
 
+def test_witness_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown witness kind 'nope'$"):
+        Witness("nope")
+
+
+def test_witness_is_not_equal_to_its_kind_name():
+    # __eq__ gives way to the other operand, and str has no equality with a Witness
+    assert (Witness("sv") == "sv") is False
+    assert Witness("sv") != "sv"
+
+
 # the moment arguments each kind's reduction takes, after the witness
 _MOMENTS_PER_KIND = {"hoa": 4, "quadx": 8, "quady": 8, "epr": 8, "sum": 5, "sv": 4,
                      "su11": 5, "cs": 3}
@@ -596,9 +607,9 @@ def _assert_slice_rows_equal_states(states):
     grid_slice = _LiteralSlice(states)
     for witness in VARIANTS:
         # engines alternate row by row, as they do in an --engine both sweep
-        for index, state in enumerate(states):
+        for state in states:
             for engine in BOTH:
-                row = evaluate(state, witness, engine, _SliceRow(grid_slice, index))
+                row = evaluate(state, witness, engine, grid_slice)
                 _assert_identical(row, evaluate(state, witness, engine))
     # every row has read its results, so the slice keeps none
     assert not grid_slice._results
