@@ -134,9 +134,11 @@ class FixedTotalState:
             raise ValueError(
                 f"expected {self.total + 1} amplitudes, got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes contain non-finite entries")
-        nrm = np.linalg.norm(amps)
+        # np.linalg.norm's own sum for a complex vector, without its wrapper
+        re, im = amps.real, amps.imag
+        nrm = np.sqrt(re.dot(re) + im.dot(im))
         if abs(nrm - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"state not normalized: |c| = {nrm!r}")
         amps.flags.writeable = False

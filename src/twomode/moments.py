@@ -80,6 +80,23 @@ normal samples, x86_64 with FMA, numpy 2.4): the square ``x ** 2``
 437,552).  Each takes scalars, or arrays whose last operand comes from the
 moments, and gives the scalar result or an array of a fixed dtype, so a
 0-row batch keeps its dtype.
+
+A single state's moments are numpy scalars, and the scalar operator runs on
+them.  On columns the operator runs on the Python floats and complexes of
+each column's ``tolist()``, a scalar operand repeated per row (operands of
+unequal length raise ``ValueError``), which costs less than numpy's scalar
+types and rounds as they do: both are IEEE doubles; ``x ** 2`` is libm
+``pow`` for both (Python takes the power of ``-x`` for a negative x, which
+an even power does not change); complex ``abs`` is libm ``hypot`` for both;
+and both multiply complex numbers with the same four products and two sums,
+none fused.  They part only where a result overflows: a Python square (or
+complex ``abs``) raises ``OverflowError`` where numpy's scalar gives inf,
+and so that column runs on numpy's scalars instead.  Two sets of tests gate
+the rule: ``tests/test_moments.py`` holds each helper on columns to its loop
+over numpy scalars bit for bit, 1e-300 to 1e300, signed zeros and
+subnormals included, and the row-vs-state tests of ``tests/test_moments.py``
+and ``tests/test_witnesses.py`` hold each batch or slice row to the single
+state's value.
 """
 
 import enum
@@ -103,12 +120,21 @@ __all__ = [
 
 
 def _per_row(op, dtype):
-    """``op`` on scalars, or on arrays row by row into a ``dtype`` array,
+    """``op`` on scalars, or on 1-d arrays row by row, on the Python scalars
+    of ``tolist()`` with a scalar operand repeated, into a ``dtype`` array,
     where numpy's loop rounds differently (module docstring)."""
     def apply(*args):
         if not isinstance(args[-1], np.ndarray):  # the operand from the moments
             return op(*args)
-        return np.array([op(*row) for row in np.broadcast(*args)], dtype=dtype)
+        rows = len(args[-1])
+        operands = [arg.tolist() if isinstance(arg, np.ndarray) else [arg] * rows
+                    for arg in args]
+        if any(len(operand) != rows for operand in operands):
+            raise ValueError(f"operands of {[len(operand) for operand in operands]} rows")
+        try:
+            return np.array(list(map(op, *operands)), dtype=dtype)
+        except OverflowError:  # where numpy's scalars give inf (module docstring)
+            return np.array([op(*row) for row in np.broadcast(*args)], dtype=dtype)
     return apply
 
 

@@ -118,28 +118,32 @@ def ngbs(params: NGBSParams) -> FixedTotalState:
     theta = 1.0 / (1.0 + m * q)
     x = p * theta
 
-    c_sq = np.zeros(m + 1)
+    # built as a list of Python floats, then taken as one array
+    c_sq = [0.0] * (m + 1)
     # validate() lets p exceed 1 + M*q by up to _BOUNDARY_EPS, so x may
     # exceed 1 by as much; an odd power of 1 - x would then be negative
     c_sq[0] = max((1.0 - x) ** m, 0.0)
     if x > 0.0:
         lf = _log_factorials(m)
+        log, exp = math.log, math.exp
         # the sum below runs left to right, so this prefix keeps every bit
-        log_head = math.log(x) + lf[m]
+        log_head = log(x) + lf[m]
         for n in range(1, m + 1):
             share = (p + n * q) * theta
-            base = max(share, 0.0)
-            tail = max(1.0 - share, 0.0)
             log_term = log_head - lf[n] - lf[m - n]
+            # a share or tail at or below zero (below it only by rounding at
+            # a boundary) leaves the coefficient at zero
             if n - 1 > 0:
-                if base == 0.0:
+                if share <= 0.0:
                     continue
-                log_term += (n - 1) * math.log(base)
+                log_term += (n - 1) * log(share)
             if m - n > 0:
-                if tail == 0.0:
+                tail = 1.0 - share
+                if tail <= 0.0:
                     continue
-                log_term += (m - n) * math.log(tail)
-            c_sq[n] = math.exp(log_term)
+                log_term += (m - n) * log(tail)
+            c_sq[n] = exp(log_term)
+    c_sq = np.array(c_sq)
 
     total = float(c_sq.sum())
     if abs(total - 1.0) > _NORM_ANOMALY_TOL:

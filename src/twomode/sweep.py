@@ -319,6 +319,11 @@ def _build_state(family: str, total: int, p: float, q: float):
     raise ConfigError(f"unknown state family {family!r}")
 
 
+# on Python 3.11 a member lookup on an Enum class, Engine.ORACLE, runs through
+# EnumType's __getattr__ hook (about 90 ns), so a slice's fetch reads this
+_ORACLE = Engine.ORACLE
+
+
 class _LiteralSlice:
     """The fixed-total states of one grid slice, their moment columns under
     both engines and their witness results, each computed once for the
@@ -342,24 +347,27 @@ class _LiteralSlice:
     def __init__(self, states):
         self.rows = {state: row for row, state in enumerate(states)}
         self.columns = {Engine.LITERAL: {}, Engine.ORACLE: {}}
-        self._results = {}  # (witness, engine) -> [results, rows yet to read them]
+        # per engine, witness -> [results, rows yet to read them], picked by
+        # identity (see _ORACLE): no fetch hashes an Engine, whose enum
+        # __hash__ runs in Python
+        self._literal_results, self._oracle_results = {}, {}
 
     @functools.cached_property
     def batch(self) -> moments.MomentBatch:
         return moments.MomentBatch.stack(list(self.rows))
 
     def result(self, state, witness: Witness, engine: Engine):
-        key = (witness, engine)
-        entry = self._results.get(key)
+        pending = self._oracle_results if engine is _ORACLE else self._literal_results
+        entry = pending.get(witness)
         if entry is None:
             columns = self.columns[engine]
             results = reduce_columns(witness, [
                 moments.cached_expectation(columns, self.batch, spec, engine)
                 for spec in witness.specs], engine)
-            entry = self._results[key] = [results, len(results)]
+            entry = pending[witness] = [results, len(results)]
         entry[1] -= 1
         if not entry[1]:
-            del self._results[key]
+            del pending[witness]
         return entry[0][self.rows[state]]
 
 
@@ -446,9 +454,12 @@ def _evaluations(config: SweepConfig, cache: dict | None = None):
     for q in sorted(config.q_list, key=_q_order):
         for p, state, table in _grid_slice(
                 {} if cache is None else cache, config.state_family, config.total, q, p_values):
-            for witness, engine in pairs:
-                yield q, p, witness, engine, state if isinstance(state, Exception) else (
-                    evaluate(state, witness, engine, table))
+            if isinstance(state, Exception):
+                for witness, engine in pairs:
+                    yield q, p, witness, engine, state
+            else:
+                for witness, engine in pairs:
+                    yield q, p, witness, engine, evaluate(state, witness, engine, table)
             # an uncached (coherent) state goes before the next one is
             # built: its slice holds one state grid at a time; and without a
             # shared cache no point of this slice outlives it
@@ -787,13 +798,14 @@ def table1_report(
     through the requested engine (literal by default); the purely
     number-conserving witnesses are engine-independent.  Each M is one
     ngbs sweep of every row's witnesses, run through the walk of
-    :func:`compute_rows`, and each row's values reach ``min()`` in its
-    order (M as given, then ascending q, p and witness label), which
-    decides between 0.0 and -0.0.  Raises :class:`ConfigError` before any
-    work when an M's sweep is invalid (:meth:`SweepConfig.validate`: a
-    negative M, an empty q list, an M over the slice budget), and when no
-    grid point is valid (for example an empty M list), since every row
-    would then read "No" on no evidence.
+    :func:`compute_rows`, and each row's values reach its running minimum
+    in its order (M as given, then ascending q, p and witness label), as
+    ``min()`` takes them, which decides between 0.0 and -0.0.  Raises
+    :class:`ConfigError` before any work when an M's sweep is invalid
+    (:meth:`SweepConfig.validate`: a negative M, an empty q list or a
+    repeated q, an M over the slice budget), when an M is repeated, and
+    when no grid point is valid (for example an empty M list), since every
+    row would then read "No" on no evidence.
     """
     rows = {witness: index for index, (_, witnesses, _, _) in enumerate(_TABLE_ROWS)
             for witness in witnesses}
@@ -802,6 +814,10 @@ def table1_report(
                     (engine,), Path())
         for total in m_values
     ]
+    # a repeated M would run its whole sweep twice, as a repeated q would
+    for index, config in enumerate(configs):
+        if config.total in [earlier.total for earlier in configs[:index]]:
+            raise ConfigError(f"repeated M: {config.total}")
     present = [False] * len(_TABLE_ROWS)
     minimum = [math.inf] * len(_TABLE_ROWS)
     valid = False
@@ -814,7 +830,9 @@ def table1_report(
             valid = True
             if outcome.status == "ok":
                 index = rows[witness]
-                minimum[index] = min(minimum[index], outcome.value)
+                # min's rule: a later value replaces the minimum only when smaller
+                if outcome.value < minimum[index]:
+                    minimum[index] = outcome.value
                 if outcome.nonclassical:
                     present[index] = True
     if not valid:

@@ -179,14 +179,6 @@ class WitnessResult(NamedTuple):
     scale: float = 1.0
 
 
-def _resolve_engine(state, engine: Engine | None) -> Engine:
-    if engine is None:
-        return Engine.LITERAL if isinstance(state, FixedTotalState) else Engine.ORACLE
-    if engine is Engine.LITERAL and not isinstance(state, FixedTotalState):
-        raise TypeError("the literal engine requires a fixed-total state")
-    return engine
-
-
 # --- reductions: (witness, *moments in spec order) -> (value, scale, degenerate),
 # on scalars or on columns alike (module doc).  A degenerate denominator
 # becomes 1.0 so that the division cannot fail; on scalars np.where gives a
@@ -404,7 +396,12 @@ def evaluate(
     grid slice, answers for ``state`` with that instead, and serves each of
     its states under every engine.
     """
-    engine = _resolve_engine(state, engine)
+    # the isinstance test first: on Python 3.11 each Engine member lookup
+    # runs through EnumType's __getattr__ hook, which a fixed-total state skips
+    if engine is None:
+        engine = Engine.LITERAL if isinstance(state, FixedTotalState) else Engine.ORACLE
+    elif not isinstance(state, FixedTotalState) and engine is Engine.LITERAL:
+        raise TypeError("the literal engine requires a fixed-total state")
     if table is None:
         table = {}
     result = getattr(table, "result", None)
@@ -428,7 +425,11 @@ def reduce_columns(witness: Witness, columns, engine: Engine) -> list:
         *_KINDS[witness.kind].reduction(witness, *map(np.asarray, columns)))
     rows = zip(values.tolist(), scales.tolist(), _nonclassical(values, scales).tolist(),
                degenerates.tolist())
-    return [WitnessResult(witness, math.nan, False, engine, "degenerate") if degenerate
-            else WitnessResult(witness, value, nonclassical, engine, "ok", scale)
+    # each result built as namedtuple's own _make builds it, without the
+    # frame of the generated __new__
+    new = tuple.__new__
+    degenerate_fields = (witness, math.nan, False, engine, "degenerate", 1.0)
+    return [new(WitnessResult, degenerate_fields) if degenerate
+            else new(WitnessResult, (witness, value, nonclassical, engine, "ok", scale))
             for value, scale, nonclassical, degenerate in rows]
 

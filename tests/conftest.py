@@ -148,3 +148,54 @@ def inner_product(bra, ket) -> complex:
     if b.shape != (rows, cols):
         b = np.pad(b, ((0, rows - b.shape[0]), (0, cols - b.shape[1])))
     return complex(np.vdot(a, b))
+
+
+# --- ngbs's reference: its loop on a numpy array, with max clamps ----------------
+
+def reference_ngbs(params, branches=None):
+    """``twomode.ngbs`` as it ran with its coefficients in a numpy array,
+    ``max``-clamped factors and ``== 0.0`` tests; the list-built loop must
+    give the same state bit for bit, or raise the same exception.
+    ``branches``, a Counter, counts the terms that each ``continue`` skips,
+    as ``"zero base"`` and ``"zero tail"``.  (``FixedTotalState``'s own
+    checks are held to ``np.linalg.norm`` in ``tests/test_fock.py``.)"""
+    import math
+
+    from twomode import FixedTotalState, NormalizationAnomaly
+    from twomode.fock import _log_factorials
+
+    params.validate()
+    m, p, q = params.total, params.p, params.q
+    theta = 1.0 / (1.0 + m * q)
+    x = p * theta
+
+    c_sq = np.zeros(m + 1)
+    c_sq[0] = max((1.0 - x) ** m, 0.0)
+    if x > 0.0:
+        lf = _log_factorials(m)
+        log_head = math.log(x) + lf[m]
+        for n in range(1, m + 1):
+            share = (p + n * q) * theta
+            base = max(share, 0.0)
+            tail = max(1.0 - share, 0.0)
+            log_term = log_head - lf[n] - lf[m - n]
+            if n - 1 > 0:
+                if base == 0.0:
+                    if branches is not None:
+                        branches["zero base"] += 1
+                    continue
+                log_term += (n - 1) * math.log(base)
+            if m - n > 0:
+                if tail == 0.0:
+                    if branches is not None:
+                        branches["zero tail"] += 1
+                    continue
+                log_term += (m - n) * math.log(tail)
+            c_sq[n] = math.exp(log_term)
+
+    total = float(c_sq.sum())
+    if abs(total - 1.0) > 1e-8:
+        raise NormalizationAnomaly(
+            f"coefficients sum to {total!r} for M={m}, p={p!r}, q={q!r}"
+        )
+    return FixedTotalState(m, np.sqrt(c_sq))

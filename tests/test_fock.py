@@ -316,9 +316,24 @@ def test_fixed_total_embedding_is_lossless(n1, pad):
     assert np.count_nonzero(grid.amps) == 1
 
 
-def test_fixed_total_rejects_unnormalized():
+def test_fixed_total_rejects_unnormalized(rng):
     with pytest.raises(ValueError):
         FixedTotalState(1, np.array([1.0, 1.0]))
+    # the check reads np.linalg.norm's value, on either side of the tolerance
+    for total in (0, 1, 20, 400):
+        for complex_amps in (False, True):
+            vec = random_fixed_total(rng, total, complex_amps).amplitudes
+            if not complex_amps:
+                vec = vec.real
+            for scale in (1.0, 1.0 + 0.9e-10, 1.0 - 0.9e-10, 1.0 + 1.1e-10, 1.0 - 1.1e-10, 2.0):
+                amps = vec * scale
+                nrm = np.linalg.norm(amps.astype(complex))
+                if abs(nrm - 1.0) <= 1e-10:
+                    FixedTotalState(total, amps)
+                    continue
+                with pytest.raises(ValueError) as raised:
+                    FixedTotalState(total, amps)
+                assert str(raised.value) == f"state not normalized: |c| = {nrm!r}"
 
 
 def test_fixed_total_rejects_nonfinite():

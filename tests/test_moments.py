@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import twomode.moments as moments
 from twomode import (
     Engine,
     FixedTotalState,
@@ -340,6 +341,53 @@ def test_zero_row_batch_keeps_the_column_dtypes():
     assert product.dtype == np.complex128 and product.shape == (0,)
     gap = compare_engines(batch, [MomentSpec(1, 0, 0, 0)])[0].abs_discrepancy
     assert gap.dtype == np.float64 and gap.shape == (0,)
+
+
+def _wide_floats(rng, rows, top=300):
+    """Floats of either sign, of magnitudes 1e-300 to 10**top, a third of them
+    signed zeros and subnormals."""
+    values = rng.choice((-1.0, 1.0), rows) * 10.0 ** rng.uniform(-300, top, rows)
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
+    picked = rng.random(rows) < 1 / 3
+    values[picked] = rng.choice(edges, int(picked.sum()))
+    return values
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2000])
+def test_per_row_helpers_equal_the_broadcast_loop(rng, monkeypatch, rows):
+    # the per-row rule's helpers on columns, against their loop over the
+    # numpy scalars of np.broadcast: same bits, same dtype, a 0-row column too
+    def broadcast_rows(op, dtype, *args):
+        return np.array([op(*row) for row in np.broadcast(*args)], dtype=dtype)
+
+    square, product = lambda x: x ** 2, lambda a, b: a * b
+    z, w = (_wide_floats(rng, rows) + 1j * _wide_floats(rng, rows) for _ in range(2))
+    cases = [
+        (moments._square, square, float, (_wide_floats(rng, rows, top=150),)),
+        (moments._cabs, abs, float, (z,)),
+        # a Python complex times a column, as _sum passes them, and two
+        # columns, as _sv passes them; products past 1e308 overflow to inf,
+        # or to nan where two infinite parts cancel
+        (moments._cmul, product, complex, (complex(0.5, -math.sqrt(0.75)), z)),
+        (moments._cmul, product, complex, (z, w)),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [broadcast_rows(op, dtype, *args) for _, op, dtype, args in cases]
+        # a square past 1e308 goes back to the numpy scalars, since a Python
+        # float raises OverflowError where np.float64 gives inf
+        huge = _wide_floats(rng, rows)
+        assert moments._square(huge).tobytes() == broadcast_rows(square, float, huge).tobytes()
+
+        def no_broadcast(*args):
+            raise AssertionError("np.broadcast called")
+
+        monkeypatch.setattr(np, "broadcast", no_broadcast)
+        for (helper, _, dtype, args), want in zip(cases, expected):
+            got = helper(*args)
+            assert (got.dtype, got.shape) == (np.dtype(dtype), (rows,))
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="rows"):
+        moments._cmul(z, w[:-1] if rows else np.ones(1, complex))
 
 
 def test_batch_stack_rejects_mixed_totals():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from twomode import (
     ngbs,
 )
 
-from conftest import is_valid
+from twomode.states import _BOUNDARY_EPS
+
+from conftest import is_valid, reference_ngbs
 from exact import ngbs_probabilities
 
 VALID_Q = (-0.01, -0.005, 0.0, 0.005, 0.01, 0.1)
@@ -184,6 +187,59 @@ def test_ngbs_amplitudes_equal_scalar_loop_exactly(total):
             assert np.array_equal(ngbs(params).amplitudes, np.sqrt(c_sq))
             checked += 1
     assert checked >= 4 * 27
+
+
+def _outcome(build, params):
+    """The state a build gives, as its total and amplitude bytes, or the type
+    and message of what it raised."""
+    try:
+        state = build(params)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return state.total, state.amplitudes.tobytes()
+
+
+def _boundary_q(total, p):
+    """q values for (M, p) on and around the edges of validity: the standard
+    q, both zeros, every q = -p/n with p + n*q == 0 exactly (the zero base
+    of term n), and q with 1 + M*q within _BOUNDARY_EPS of p (the zero tail,
+    and the sides of the upper bound)."""
+    qs = [*VALID_Q, 0.0, -0.0]
+    for n in sorted({1, 2, total // 2, total - 1, total} & set(range(1, total + 1))):
+        q = -p / n
+        if p + n * q == 0.0:
+            qs.append(q)
+    if total:
+        qs += [(p - 1.0 + offset * _BOUNDARY_EPS) / total for offset in (-2.0, -0.5, 0.0, 0.5)]
+    return qs
+
+
+def test_ngbs_equals_the_reference_loop_bit_for_bit_at_its_boundaries():
+    branches, outcomes = Counter(), Counter()
+    for total in (0, 1, 2, 10, 20, 100, 400):
+        for p in (0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0):
+            for q in _boundary_q(total, p):
+                params = NGBSParams(total, p, q)
+                want = _outcome(lambda params: reference_ngbs(params, branches), params)
+                assert _outcome(ngbs, params) == want, params
+                outcomes[want[0] if isinstance(want[0], type) else "state"] += 1
+    # both continue branches run, which the standard grid alone does not do
+    assert branches["zero base"] and branches["zero tail"], branches
+    assert outcomes["state"] and outcomes[InvalidParams], outcomes
+
+
+def test_ngbs_equals_the_reference_loop_bit_for_bit_on_the_standard_grid():
+    branches = Counter()
+    for total in (10, 20):
+        for q in VALID_Q:
+            for p in np.linspace(0.01, 0.99, 99).tolist():
+                params = NGBSParams(total, p, q)
+                want = _outcome(lambda params: reference_ngbs(params, branches), params)
+                assert _outcome(ngbs, params) == want, params
+    # at four points the share of term M is zero, or just below it by
+    # rounding (M = 20, q = -0.01, p = 0.2 is one); no share below term M
+    # reaches one
+    assert (branches["zero base"], branches["zero tail"]) == (4, 0)
 
 
 def test_boundary_parameter_point_is_valid():

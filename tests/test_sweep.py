@@ -1380,6 +1380,25 @@ def test_summary_script_reports_config_errors(capsys, argv, message):
     assert captured.err.startswith(message)
 
 
+def test_table1_rejects_a_repeated_m_before_any_work(monkeypatch, capsys):
+    # unchecked, a repeated M computes its whole grid twice, where a repeated
+    # q is rejected; the summary script takes the same path
+    import twomode.sweep as sweep
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("table1 ran")
+
+    monkeypatch.setattr(sweep, "_grid_slice", no_work)
+    with pytest.raises(ConfigError, match=r"^repeated M: 10$"):
+        table1_report(m_values=(10, 20, 10))
+    main_script = runpy.run_path(str(SUMMARY_SCRIPT))["main"]
+    for run, argv in ((main, ["table1", "--M", "10,10", "--q", "0.01"]),
+                      (main_script, ["--M", "10,10", "--q", "0.01"])):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: repeated M: 10\n")
+
+
 def test_summary_script_prints_the_table1_table(capsys):
     assert main(["table1", "--q", "0.01", "--M", "10"]) == 0
     table = capsys.readouterr().out
