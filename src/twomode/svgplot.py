@@ -22,6 +22,20 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _line(x1, y1, x2, y2, stroke="#000000", width=1, extra="") -> str:
+    """A ``<line>`` element; each coordinate is written as given."""
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+            f'stroke-width="{width}"{extra}/>')
+
+
+def _text(x, y, size, body, anchor="middle", extra="") -> str:
+    """A sans-serif ``<text>`` element, with no ``text-anchor`` when
+    ``anchor`` is None; each coordinate is written as given."""
+    anchor = "" if anchor is None else f' text-anchor="{anchor}"'
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi <= lo:
         return [lo]
@@ -74,48 +88,29 @@ def render_line_chart(curves, title: str, x_label: str, y_label: str) -> str:
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#000000" stroke-width="1"/>',
-        f'<text x="{_WIDTH // 2}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        _text(_WIDTH // 2, 18, 14, title),
     ]
 
+    x_axis = _MARGIN_T + plot_h
     for tx in _ticks(x_lo, x_hi):
-        x = px(tx)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_MARGIN_T + plot_h}" x2="{_fmt(x)}" '
-            f'y2="{_MARGIN_T + plot_h + 5}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_MARGIN_T + plot_h + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
-        )
+        x = _fmt(px(tx))
+        parts.append(_line(x, x_axis, x, x_axis + 5))
+        parts.append(_text(x, x_axis + 18, 11, _fmt(tx)))
     for ty in _ticks(y_lo, y_hi):
         y = py(ty)
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(y)}" x2="{_MARGIN_L}" '
-            f'y2="{_fmt(y)}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
-        )
+        parts.append(_line(_MARGIN_L - 5, _fmt(y), _MARGIN_L, _fmt(y)))
+        parts.append(_text(_MARGIN_L - 8, _fmt(y + 4), 11, _fmt(ty), anchor="end"))
     # zero line when it lies inside the frame
     if y_lo < 0.0 < y_hi:
-        y0 = py(0.0)
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{_fmt(y0)}" x2="{_MARGIN_L + plot_w}" '
-            f'y2="{_fmt(y0)}" stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
-        )
+        y0 = _fmt(py(0.0))
+        parts.append(_line(_MARGIN_L, y0, _MARGIN_L + plot_w, y0, stroke="#999999",
+                           extra=' stroke-dasharray="4 3"'))
 
-    parts.append(
-        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_MARGIN_T + plot_h // 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_MARGIN_T + plot_h // 2})">{y_label}</text>'
-    )
+    parts.append(_text(_WIDTH // 2, _HEIGHT - 8, 12, x_label))
+    y_mid = _MARGIN_T + plot_h // 2
+    parts.append(_text(16, y_mid, 12, y_label, extra=f' transform="rotate(-90 16 {y_mid})"'))
 
+    legend_x = _MARGIN_L + plot_w - 150
     for i, (label, pts) in enumerate(cleaned):
         color = _PALETTE[i % len(_PALETTE)]
         if pts:
@@ -125,15 +120,8 @@ def render_line_chart(curves, title: str, x_label: str, y_label: str) -> str:
                 f'stroke-width="1.5"/>'
             )
         ly = _MARGIN_T + 14 + 16 * i
-        parts.append(
-            f'<line x1="{_MARGIN_L + plot_w - 150}" y1="{ly - 4}" '
-            f'x2="{_MARGIN_L + plot_w - 128}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w - 124}" y="{ly}" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        parts.append(_line(legend_x, ly - 4, legend_x + 22, ly - 4, stroke=color, width=2))
+        parts.append(_text(legend_x + 26, ly, 11, label, anchor=None))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

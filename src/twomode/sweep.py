@@ -72,6 +72,10 @@ STANDARD_M = (10, 20)
 STANDARD_Q = (-0.01, -0.005, 0.0, 0.005, 0.01, 0.1)
 STANDARD_P_GRID = (0.01, 0.99, 99)
 HOA_ORDER_SET = ((2, 2), (5, 1), (9, 1))
+# the witness sets of the figure panels and of table1's rows
+_HOA_SET = tuple(Witness("hoa", l=l, m=m) for l, m in HOA_ORDER_SET)
+_QUADRATURES = (Witness("quadx"), Witness("quady"))
+_SUM_SET = tuple(Witness("sum", theta=theta) for theta in DEFAULT_THETAS)
 
 # the most memory one q slice of a sweep, table1 or compare may ask for
 # (see _check_budget)
@@ -576,21 +580,24 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 
 # --- reference figure reproduction -------------------------------------------
 
-def _panel_config(name, total, q_list, witnesses, engine):
-    return name, SweepConfig(
-        state_family="ngbs",
-        total=total,
-        q_list=tuple(q_list),
-        p_grid=STANDARD_P_GRID,
-        witnesses=tuple(witnesses),
-        engines=(engine,),
-        output_path=Path(),
-        output_format="csv",
-    )
+# (name, M, q values, witnesses, engine) of each reference figure panel
+_PANELS = (
+    ("fig2a", 10, (-0.01,), _HOA_SET, Engine.ORACLE),
+    ("fig2b", 10, (-0.005,), _HOA_SET, Engine.ORACLE),
+    ("fig2c", 20, (-0.01,), _HOA_SET, Engine.ORACLE),
+    ("fig2d", 20, (-0.005,), _HOA_SET, Engine.ORACLE),
+    ("fig3a", 10, (0.01, 0.0, -0.01), _QUADRATURES, Engine.LITERAL),
+    ("fig3b", 20, (0.01, 0.0, -0.01), _QUADRATURES, Engine.LITERAL),
+    ("fig4a", 10, (-0.01,), _SUM_SET, Engine.LITERAL),
+    ("fig4b", 20, (-0.01,), _SUM_SET, Engine.LITERAL),
+    ("fig5a", 10, (0.01, -0.01, 0.0, 0.1), (Witness("sv"),), Engine.LITERAL),
+    ("fig5b", 20, (-0.005, 0.0, 0.1), (Witness("sv"),), Engine.LITERAL),
+)
 
 
 def figure_panels():
-    """The named sweep presets behind ``reproduce_figures``.
+    """The named sweep presets behind ``reproduce_figures``, one ngbs
+    ``SweepConfig`` over the standard p grid per ``_PANELS`` entry.
 
     Antibunching panels (fig2*) are engine-agnostic and use the oracle;
     squeezing and inseparability panels (fig3*..fig5*) use the literal
@@ -599,22 +606,9 @@ def figure_panels():
     {(2,2), (5,1), (9,1)} are documented artifact choices.  No config's
     output path is read: ``reproduce_figures`` writes to its own directory.
     """
-    hoa_set = [Witness("hoa", l=l, m=m) for l, m in HOA_ORDER_SET]
-    quad = [Witness("quadx"), Witness("quady")]
-    thetas = [Witness("sum", theta=t) for t in DEFAULT_THETAS]
-    sv_w = [Witness("sv")]
-    return [
-        _panel_config("fig2a", 10, [-0.01], hoa_set, Engine.ORACLE),
-        _panel_config("fig2b", 10, [-0.005], hoa_set, Engine.ORACLE),
-        _panel_config("fig2c", 20, [-0.01], hoa_set, Engine.ORACLE),
-        _panel_config("fig2d", 20, [-0.005], hoa_set, Engine.ORACLE),
-        _panel_config("fig3a", 10, [0.01, 0.0, -0.01], quad, Engine.LITERAL),
-        _panel_config("fig3b", 20, [0.01, 0.0, -0.01], quad, Engine.LITERAL),
-        _panel_config("fig4a", 10, [-0.01], thetas, Engine.LITERAL),
-        _panel_config("fig4b", 20, [-0.01], thetas, Engine.LITERAL),
-        _panel_config("fig5a", 10, [0.01, -0.01, 0.0, 0.1], sv_w, Engine.LITERAL),
-        _panel_config("fig5b", 20, [-0.005, 0.0, 0.1], sv_w, Engine.LITERAL),
-    ]
+    return [(name, SweepConfig("ngbs", total, q_list, STANDARD_P_GRID, witnesses,
+                               (engine,), Path()))
+            for name, total, q_list, witnesses, engine in _PANELS]
 
 
 _DIAGNOSTIC_SPECS = (
@@ -769,11 +763,9 @@ class Table1Row:
 
 # (label, witnesses, note, caveat): the fixed fields of each Table1Row
 _TABLE_ROWS = (
-    ("Higher-order two-mode antibunching",
-     tuple(Witness("hoa", l=l, m=m) for l, m in HOA_ORDER_SET), "", ""),
-    ("Quadrature squeezing", (Witness("quadx"), Witness("quady")), "", ""),
-    ("Sum squeezing",
-     tuple(Witness("sum", theta=t) for t in DEFAULT_THETAS), "", ""),
+    ("Higher-order two-mode antibunching", _HOA_SET, "", ""),
+    ("Quadrature squeezing", _QUADRATURES, "", ""),
+    ("Sum squeezing", _SUM_SET, "", ""),
     ("Shchukin-Vogel criterion", (Witness("sv"),), "", ""),
     ("EPR (Mancini) criterion", (Witness("epr", form="literal"),), "", ""),
     ("SU(1,1) uncertainty criterion", (Witness("su11"),), "", ""),

@@ -147,18 +147,18 @@ class Witness:
         """Parse a witness token such as ``hoa:9,1``, ``sum:0.5`` or ``epr``.
 
         The argument after the colon gives the kind's parameters in order,
-        separated by commas.  Returns a list because a bare token stands for
-        its kind's ``bare`` rows: a bare ``sum`` expands to the default theta
-        set, a bare ``hoa`` means orders (1, 1), a bare ``epr`` the literal
-        form.
+        separated by commas; a colon with no argument after it (``sv:``) is
+        rejected.  Returns a list because a bare token stands for its kind's
+        ``bare`` rows: a bare ``sum`` expands to the default theta set, a
+        bare ``hoa`` means orders (1, 1), a bare ``epr`` the literal form.
         """
-        head, _, arg = text.strip().lower().partition(":")
+        head, colon, arg = text.strip().lower().partition(":")
         aliases = {"cauchy": "cs", "cauchy-schwarz": "cs", "sumsqueeze": "sum"}
         head = aliases.get(head, head)
         if head not in _KINDS:
             raise ValueError(f"cannot parse witness {text!r}")
         params, rows = _KINDS[head].params, _KINDS[head].bare
-        if arg:
+        if colon:
             try:
                 rows = [[parser(token) for (_, parser), token
                          in zip(params, arg.split(","), strict=True)]]

@@ -4,9 +4,13 @@ standard library only.
 At a binary-float p and q every squared ``ngbs`` coefficient is a rational
 number, which :class:`fractions.Fraction` holds exactly, and so is every
 diagonal moment ``<a1^dag^a a1^a a2^dag^b a2^b>``, a sum of those squares
-times integers.
+times integers.  An off-diagonal moment that conserves the total, such as
+``<a1^dag a2>``, is a sum of square roots of such rationals, which
+:func:`transfer_moment` takes to 50 digits.
 """
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, perm
 
@@ -44,3 +48,23 @@ def factorial_moments(probabilities: list, k: int) -> tuple:
     """
     return (mixed_diagonal_moment(probabilities, k, 0),
             mixed_diagonal_moment(probabilities, 0, k))
+
+
+def transfer_moment(probabilities: list, k: int) -> Fraction:
+    """The ``<a1^dag^k a2^k>`` of the fixed-total state whose coefficients
+    are ``c_n = sqrt(P(n))`` (those of ``ngbs``), to 50 digits.
+
+    ``a1^dag^k a2^k`` takes ``|n>|M-n>`` to
+    ``sqrt((n+k)!/n! (M-n)!/(M-n-k)!) |n+k>|M-n-k>``, so the moment is the
+    real sum over n of ``sqrt(P(n+k) P(n) (n+k)!/n! (M-n)!/(M-n-k)!)``, and
+    it equals its conjugate ``<a1^k a2^dag^k>``.  Each root and the sum are
+    50-digit decimals.
+    """
+    total = len(probabilities) - 1
+    with decimal.localcontext() as context:
+        context.prec = 50
+        roots = []
+        for n in range(total - k + 1):
+            term = probabilities[n + k] * probabilities[n] * perm(n + k, k) * perm(total - n, k)
+            roots.append((Decimal(term.numerator) / term.denominator).sqrt())
+        return Fraction(sum(roots))

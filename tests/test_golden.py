@@ -24,7 +24,12 @@ as text in every value cell that reads zero on either side.
 for each of the ten figure SVGs and each SVG of ``CHART_SWEEP``, the title
 and, per curve in legend order, its label and the point count of its
 polyline (0 for a curve drawn in the legend only).  Neither moves with the
-last bit of a value, so the gate holds on any numpy."""
+last bit of a value, so the gate holds on any numpy.
+
+``golden/line_charts.json`` holds the bytes of ``render_line_chart`` for each
+case of ``LINE_CHARTS``, as it drew them before each of its ``<line>`` and
+``<text>`` elements came from one writer.  The inputs are Python floats and
+the chart's arithmetic is Python's, so these bytes hold on any numpy."""
 
 import csv
 import gzip
@@ -35,6 +40,7 @@ from pathlib import Path
 import pytest
 
 from twomode.cli import main
+from twomode.svgplot import render_line_chart
 from twomode.sweep import reproduce_figures, table1_report
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -163,3 +169,32 @@ def chart_summaries(out):
 def test_charts_match_golden(tmp_path):
     golden = json.loads((GOLDEN / "svg_charts.json").read_text())
     assert chart_summaries(tmp_path) == golden
+
+
+NAN, INF = float("nan"), float("inf")
+# name -> (curves, title, x label, y label) of render_line_chart
+LINE_CHARTS = {
+    # 12 curves, so the palette of 10 wraps, over a y range that crosses zero,
+    # with NaN and infinite points dropped
+    "palette_wraps": (
+        [(f"curve {i}", [0.0, 0.25, 0.5, 0.75, 1.0],
+          [0.1 * (i - 6) + 0.025 * j for j in range(5)]) for i in range(10)]
+        + [("nan and inf", [0.0, 0.25, 0.5, INF, 1.0], [NAN, -0.7, INF, 0.2, 0.55]),
+           ("last", [0.0, 0.5, 1.0], [-INF, 0.05, -0.05])],
+        "twelve curves", "p", "witness value"),
+    # a curve with no point stays in the legend, and a curve after it keeps its colour
+    "empty_curve": (
+        [("a", [0.0, 1.0, 2.0], [1.0, 3.0, 2.5]), ("empty", [], []),
+         ("all nan", [0.5, 1.5], [NAN, NAN]), ("c", [0.0, 2.0], [2.0, 1.5])],
+        "empty curve", "x", "y"),
+    # one x and one y: both ranges widen by 1
+    "flat_single_x": ([("point", [0.5, 0.5], [2.0, 2.0])], "flat", "x", "y"),
+    # no finite point at all: the unit square
+    "no_finite_point": ([("nan", [0.0, 1.0], [NAN, INF]), ("inf", [INF], [1.0])],
+                        "no finite point", "x", "y"),
+}
+
+
+def test_line_charts_match_golden():
+    golden = json.loads((GOLDEN / "line_charts.json").read_text())
+    assert {name: render_line_chart(*case) for name, case in LINE_CHARTS.items()} == golden

@@ -26,7 +26,9 @@ from twomode.sweep import STANDARD_Q
 from twomode.witnesses import DEFAULT_THETAS, STRICT_ZERO, Witness, evaluate
 
 from conftest import assert_column_rows, is_valid, random_fixed_total, signed_zero_states
-from exact import factorial_moments, mixed_diagonal_moment, ngbs_probabilities
+from exact import (
+    factorial_moments, mixed_diagonal_moment, ngbs_probabilities, transfer_moment,
+)
 
 
 def one_photon_mode1():
@@ -478,6 +480,39 @@ def test_engines_match_the_exact_hoa_and_cs_values():
                     flags += 1
     # every point and engine but 40 of the 1,110 lies beyond the guard
     assert flags == 1070
+
+
+def test_engines_match_the_exact_su11_values():
+    # su11 from the exact diagonal moments and the 50-digit <a1^2 a2^dag^2>
+    # and <a1^dag a2>, both real; the scale is the reduction's, with
+    # Im<a1^dag a2> = 0.  Measured worst |value - exact| / max(1, scale) over
+    # this sample: 1.7e-16 literal, 1.4e-16 oracle; off q = 0 the smallest
+    # |exact| / max(1, scale) is 1.7e5 times the guard
+    witness = Witness("su11")
+    flags = 0
+    for params, state, probabilities in _exact_sample():
+        moment = functools.partial(mixed_diagonal_moment, probabilities)
+        n1, n2, n1n2 = moment(1, 0), moment(0, 1), moment(1, 1)
+        twist, swap = transfer_moment(probabilities, 2), transfer_moment(probabilities, 1)
+        base = 2 * n1n2 + n1 + n2
+        exact = (base + 2 * twist - 4 * swap**2) * (base - 2 * twist) - (n1 - n2) ** 2
+        s_base = 2 * (n1n2 + n1 + n2 + 1) + n1 + n2 + 2 + 2 * abs(twist)
+        scale = max(1, (s_base + 4 * swap**2) * s_base + (n1 - n2) ** 2)
+        for engine in Engine:
+            result = evaluate(state, witness, engine)
+            context = (params, engine)
+            assert result.status == "ok", context
+            assert abs(Fraction(result.value) - exact) <= Fraction(1.05e-14) * scale, context
+            if params.q == 0.0:
+                # the binomial line sits at zero, to the 50 digits, and never flags
+                assert abs(exact) <= Fraction(1e-45) * scale, context
+                assert not result.nonclassical, context
+            elif abs(exact) > Fraction(STRICT_ZERO) * scale:
+                assert result.nonclassical == (exact < 0), context
+                flags += 1
+    # every point and engine off q = 0 lies beyond the guard: 20 of the 111
+    # points are on q = 0
+    assert flags == 182
 
 
 def test_expectation_engine_switch():

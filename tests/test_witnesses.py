@@ -333,7 +333,8 @@ def test_witness_parse_tokens():
 
 @pytest.mark.parametrize(
     "token", ["hoa:1,2", "hoa:x,y", "nope", "epr:odd", "quadx:3", "sum:nan", "sum:inf", "sum:-inf",
-              "hoa:2", "hoa:2,1,1", "sum:0.5,1", "epr:literal,variance", "sv:1"]
+              "hoa:2", "hoa:2,1,1", "sum:0.5,1", "epr:literal,variance", "sv:1",
+              "sv:", "hoa:", "sum:", "epr:"]
 )
 def test_witness_parse_rejects_bad_tokens(token):
     with pytest.raises(ValueError):
